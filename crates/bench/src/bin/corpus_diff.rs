@@ -1,9 +1,9 @@
 //! Corpus-scale differential runner: sweeps the workload suite plus a
 //! band of seeded generated programs (sequential *and* concurrent)
-//! through all seven engine configurations — sequential,
-//! replicated-parallel, and sharded-parallel, each in both eval modes,
-//! plus the reference oracle — canonicalizes every fixpoint with
-//! `cfa_core::canon`, and diffs the normal forms. The four pooled
+//! through five engine configurations — the sequential engine and a
+//! pool tenant (one worker on a private store), each in both eval
+//! modes, plus the reference oracle — canonicalizes every fixpoint
+//! with `cfa_core::canon`, and diffs the normal forms. The two pooled
 //! configurations ride one long-lived [`AnalysisPool`], so programs
 //! overlap across pool tenants for free.
 //!
@@ -22,8 +22,6 @@
 //!   jobs scale it up).
 //! * `CFA_CORPUS_SEED` — base seed for the generated band (default 0).
 //! * `CFA_CORPUS_ONLY` — substring filter on program names.
-//! * `CFA_STORE_BACKEND` — `replicated` | `sharded` | `both` gates the
-//!   parallel side, mirroring the CI backend matrix.
 //! * `CFA_ARTIFACT_DIR` — where failure artifacts are written (default
 //!   `target/corpus-diff`).
 //! * The usual engine limits (`CFA_MAX_ITERS`, `CFA_TIME_BUDGET_MS`,
@@ -33,12 +31,8 @@ use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode, FixpointResult
 use cfa_core::flatcfa::{FlatCfaMachine, FlatPolicy};
 use cfa_core::kcfa::KCfaMachine;
 use cfa_core::reference::{run_fixpoint_reference, RefFixpointResult, ReferenceMachine};
-use cfa_core::{
-    Analysis, AnalysisPool, CanonSnapshot, NotComparable, PoolConfig, Replicated, Sharded,
-};
-use cfa_testsupport::{
-    backend_selection, golden_slug, quiet_injected_panics, BackendSelection, PAR_THREADS,
-};
+use cfa_core::{Analysis, AnalysisPool, CanonSnapshot, NotComparable, PoolConfig, Replicated};
+use cfa_testsupport::{golden_slug, quiet_injected_panics};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::path::PathBuf;
@@ -135,13 +129,12 @@ fn mode_flag(mode: EvalMode) -> &'static str {
 /// the reason it has none.
 type EngineOutcome = (String, Result<CanonSnapshot, String>);
 
-/// Runs one (program, analysis) pair through all seven engine
-/// configurations (the parallel side gated by `backends`): the four
-/// pooled parallel runs are submitted first, then the reference oracle
-/// and the two sequential modes run inline while the pool churns.
+/// Runs one (program, analysis) pair through all five engine
+/// configurations: the two pooled runs are submitted first, then the
+/// reference oracle and the two sequential modes run inline while the
+/// pool churns.
 fn sweep_engines<M, R, F, G, CF, CR>(
     pool: &AnalysisPool,
-    backends: BackendSelection,
     mk: F,
     mk_ref: G,
     canon_fix: CF,
@@ -161,18 +154,10 @@ where
     let limits = EngineLimits::from_env;
     let mut handles = Vec::new();
     for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
-        if backends.replicated {
-            handles.push((
-                format!("replicated {}", mode_flag(mode)),
-                pool.submit::<Replicated, M>(mk(), limits(), mode),
-            ));
-        }
-        if backends.sharded {
-            handles.push((
-                format!("sharded {}", mode_flag(mode)),
-                pool.submit::<Sharded, M>(mk(), limits(), mode),
-            ));
-        }
+        handles.push((
+            format!("replicated {}", mode_flag(mode)),
+            pool.submit::<Replicated, M>(mk(), limits(), mode),
+        ));
     }
 
     let mut out = Vec::new();
@@ -243,14 +228,13 @@ fn write_artifact(
          Reproduce with:\n\n\
          ```\n\
          cfa dump {flag} --backend reference --out reference.json program.scm\n\
-         cfa dump {flag} --backend {backend} --mode {mode} --threads {threads} \
+         cfa dump {flag} --backend {backend} --mode {mode} --threads 1 \
          --out divergent.json program.scm\n\
          cfa compare reference.json divergent.json\n\
          ```\n\
          {seed_note}\n\
          First divergent facts:\n\n{report}\n",
         name = program.name,
-        threads = PAR_THREADS,
         report = report.render(),
     );
     std::fs::write(dir.join("README.md"), readme).expect("write artifact README");
@@ -259,7 +243,6 @@ fn write_artifact(
 
 fn main() -> ExitCode {
     quiet_injected_panics();
-    let backends = backend_selection();
     let pool = AnalysisPool::new(PoolConfig::from_env());
     let artifact_root = PathBuf::from(
         std::env::var("CFA_ARTIFACT_DIR").unwrap_or_else(|_| "target/corpus-diff".to_owned()),
@@ -288,7 +271,6 @@ fn main() -> ExitCode {
             let outcomes = match analysis {
                 Analysis::KCfa { k } => sweep_engines(
                     &pool,
-                    backends,
                     || KCfaMachine::new_owned(Arc::clone(&compiled), k),
                     || KCfaMachine::new_owned(Arc::clone(&compiled), k),
                     |r| cfa_core::canon_kcfa(&compiled, k, r),
@@ -296,7 +278,6 @@ fn main() -> ExitCode {
                 ),
                 Analysis::MCfa { m } => sweep_engines(
                     &pool,
-                    backends,
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), m, FlatPolicy::TopMFrames),
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), m, FlatPolicy::TopMFrames),
                     |r| cfa_core::canon_mcfa(&compiled, m, r),
@@ -304,7 +285,6 @@ fn main() -> ExitCode {
                 ),
                 Analysis::PolyKCfa { k } => sweep_engines(
                     &pool,
-                    backends,
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), k, FlatPolicy::LastKCalls),
                     || FlatCfaMachine::new_owned(Arc::clone(&compiled), k, FlatPolicy::LastKCalls),
                     |r| cfa_core::canon_poly_kcfa(&compiled, k, r),

@@ -4,7 +4,7 @@
 //!
 //! Runs the depth-sweep k-CFA workload (the suite programs the
 //! `depth_sweep` experiment uses, plus the paper's worst-case family)
-//! through seven engine configurations:
+//! through five engine configurations:
 //!
 //! * `semi_naive` — `cfa_core::engine::run_fixpoint` (the default:
 //!   semi-naive delta-aware transfer functions);
@@ -13,16 +13,11 @@
 //!   as the baseline the semi-naive column is judged against;
 //! * `parallel` — the replicated backend
 //!   (`cfa_core::parallel::run_fixpoint_parallel`, per-worker store
-//!   copies + all-to-all fact broadcast) at [`PAR_THREADS`] workers,
-//!   under the fabric's default adaptive wake-batch coalescing;
-//! * `parallel_drain_all` — the same backend under
-//!   `WakeBatching::DrainAll` (the pre-fabric inbox discipline) — the
-//!   wake-batching *before* cell;
+//!   copies + all-to-all fact broadcast) at [`PAR_THREADS`] workers;
 //! * `sharded` — the shared address-sharded store backend
 //!   (`cfa_core::shardstore::run_fixpoint_sharded`) at the same thread
 //!   count — same fixpoint, O(program) store memory instead of
-//!   O(program × threads) — adaptive batching;
-//! * `sharded_drain_all` — its drain-all *before* cell;
+//!   O(program × threads);
 //! * `reference` — the retained pre-interning engine.
 //!
 //! Emits `BENCH_engine.json` with wall times, iteration counts, join
@@ -45,7 +40,6 @@
 //! (writes BENCH_engine.json into the current directory).
 
 use cfa_core::engine::{run_fixpoint_with, EngineLimits, EvalMode, FixpointResult, Status};
-use cfa_core::fabric::WakeBatching;
 use cfa_core::kcfa::KCfaMachine;
 use cfa_core::parallel::run_fixpoint_parallel;
 use cfa_core::reference::run_fixpoint_reference;
@@ -143,34 +137,24 @@ fn run_new(program: &CpsProgram, k: usize, runs: usize, mode: EvalMode) -> Cell 
     })
 }
 
-/// Best-of-N timing of the replicated parallel engine on one cell,
-/// under the given wake-batch coalescing policy.
-fn run_parallel(program: &CpsProgram, k: usize, runs: usize, batching: WakeBatching) -> Cell {
-    let limits = EngineLimits {
-        wake_batching: batching,
-        ..EngineLimits::default()
-    };
+/// Best-of-N timing of the replicated parallel engine on one cell.
+fn run_parallel(program: &CpsProgram, k: usize, runs: usize) -> Cell {
     best_of(runs, || {
         let mut machine = KCfaMachine::new(program, k);
         let start = Instant::now();
-        let r = run_fixpoint_parallel(&mut machine, PAR_THREADS, limits.clone());
+        let r = run_fixpoint_parallel(&mut machine, PAR_THREADS, EngineLimits::default());
         let seconds = start.elapsed().as_secs_f64();
         assert!(r.status.is_complete(), "bench cells must complete");
         cell_of(&r, seconds)
     })
 }
 
-/// Best-of-N timing of the sharded parallel engine on one cell, under
-/// the given wake-batch coalescing policy.
-fn run_sharded(program: &CpsProgram, k: usize, runs: usize, batching: WakeBatching) -> Cell {
-    let limits = EngineLimits {
-        wake_batching: batching,
-        ..EngineLimits::default()
-    };
+/// Best-of-N timing of the sharded parallel engine on one cell.
+fn run_sharded(program: &CpsProgram, k: usize, runs: usize) -> Cell {
     best_of(runs, || {
         let mut machine = KCfaMachine::new(program, k);
         let start = Instant::now();
-        let r = run_fixpoint_sharded(&mut machine, PAR_THREADS, limits.clone());
+        let r = run_fixpoint_sharded(&mut machine, PAR_THREADS, EngineLimits::default());
         let seconds = start.elapsed().as_secs_f64();
         assert!(r.status.is_complete(), "bench cells must complete");
         cell_of(&r, seconds)
@@ -293,9 +277,6 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
     let (mut total_semi, mut total_new, mut total_par, mut total_sh, mut total_ref) =
         (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    // Wake-batch coalescing before/after: drain-all is the pre-fabric
-    // inbox discipline, adaptive the fabric's bounded-batch default.
-    let (mut total_par_drain_all, mut total_sh_drain_all) = (0.0f64, 0.0f64);
     let mut peak_facts = 0usize;
     // The acceptance metric of the sharded backend: its store-resident
     // bytes vs the replicated backend's, on the heaviest cell.
@@ -320,18 +301,14 @@ fn main() {
         for k in 0..=2usize {
             let semi = run_new(&program, k, runs, EvalMode::SemiNaive);
             let new = run_new(&program, k, runs, EvalMode::FullReeval);
-            let parallel = run_parallel(&program, k, runs, WakeBatching::Adaptive);
-            let parallel_drain_all = run_parallel(&program, k, runs, WakeBatching::DrainAll);
-            let sharded = run_sharded(&program, k, runs, WakeBatching::Adaptive);
-            let sharded_drain_all = run_sharded(&program, k, runs, WakeBatching::DrainAll);
+            let parallel = run_parallel(&program, k, runs);
+            let sharded = run_sharded(&program, k, runs);
             let reference = run_reference(&program, k, runs);
             for (tag, cell) in [
                 ("semi-naive", &semi),
                 ("full", &new),
                 ("parallel", &parallel),
-                ("parallel_drain_all", &parallel_drain_all),
                 ("sharded", &sharded),
-                ("sharded_drain_all", &sharded_drain_all),
             ] {
                 assert_eq!(
                     cell.facts, reference.facts,
@@ -350,8 +327,6 @@ fn main() {
             total_new += new.seconds;
             total_par += parallel.seconds;
             total_sh += sharded.seconds;
-            total_par_drain_all += parallel_drain_all.seconds;
-            total_sh_drain_all += sharded_drain_all.seconds;
             total_ref += reference.seconds;
             peak_facts = peak_facts.max(semi.facts);
             if name == "interp" && k == 2 {
@@ -385,11 +360,7 @@ fn main() {
             row.push_str(", ");
             cell_json(&mut row, "parallel", &parallel);
             row.push_str(", ");
-            cell_json(&mut row, "parallel_drain_all", &parallel_drain_all);
-            row.push_str(", ");
             cell_json(&mut row, "sharded", &sharded);
-            row.push_str(", ");
-            cell_json(&mut row, "sharded_drain_all", &sharded_drain_all);
             let _ = write!(row, ", \"parallel_threads\": {PAR_THREADS}, ");
             cell_json(&mut row, "reference", &reference);
             let _ = write!(
@@ -407,8 +378,6 @@ fn main() {
     let semi_speedup = total_new / total_semi.max(1e-9);
     let par_speedup = total_semi / total_par.max(1e-9);
     let sharded_vs_par = total_par / total_sh.max(1e-9);
-    let batching_par = total_par_drain_all / total_par.max(1e-9);
-    let batching_sh = total_sh_drain_all / total_sh.max(1e-9);
     let interp2_byte_ratio =
         interp2_sharded_bytes as f64 / (interp2_replicated_bytes.max(1)) as f64;
     println!();
@@ -422,11 +391,6 @@ fn main() {
     println!(
         "interp k=2 store bytes: sharded {interp2_sharded_bytes} vs replicated \
          {interp2_replicated_bytes} ({interp2_byte_ratio:.3}x)"
-    );
-    println!(
-        "wake batching (adaptive vs drain-all): replicated {total_par:.3}s vs \
-         {total_par_drain_all:.3}s ({batching_par:.2}x), sharded {total_sh:.3}s vs \
-         {total_sh_drain_all:.3}s ({batching_sh:.2}x)"
     );
 
     // Disabled-path telemetry overhead, measured not assumed: the
@@ -458,14 +422,6 @@ fn main() {
     let _ = writeln!(json, "  \"total_seconds_new\": {total_new:.6},");
     let _ = writeln!(json, "  \"total_seconds_parallel\": {total_par:.6},");
     let _ = writeln!(json, "  \"total_seconds_sharded\": {total_sh:.6},");
-    let _ = writeln!(
-        json,
-        "  \"total_seconds_parallel_drain_all\": {total_par_drain_all:.6},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"total_seconds_sharded_drain_all\": {total_sh_drain_all:.6},"
-    );
     let _ = writeln!(json, "  \"total_seconds_reference\": {total_ref:.6},");
     let _ = writeln!(json, "  \"speedup\": {speedup:.3},");
     let _ = writeln!(json, "  \"speedup_semi_naive\": {semi_speedup:.3},");
@@ -473,14 +429,6 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"speedup_sharded_vs_parallel\": {sharded_vs_par:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"wake_batching_speedup_parallel\": {batching_par:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"wake_batching_speedup_sharded\": {batching_sh:.3},"
     );
     let _ = writeln!(
         json,

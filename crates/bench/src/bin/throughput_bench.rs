@@ -1,5 +1,6 @@
 //! Pool throughput benchmark — the multi-tenant [`AnalysisPool`]
-//! driving the whole workload suite concurrently, per store backend.
+//! driving the whole workload suite concurrently, each tenant on its
+//! private one-worker store.
 //!
 //! Submits every suite program (plus the paper's worst-case family at
 //! n = 2/4/6) at k = 1 to one long-lived pool, several times over
@@ -24,19 +25,17 @@
 //! Results are merged into `BENCH_engine.json` under a top-level
 //! `"throughput"` key (replacing a previous throughput section,
 //! preserving `engine_bench`'s cells). The pool is sized by
-//! `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`; `CFA_STORE_BACKEND`
-//! (`replicated` | `sharded` | `both`) selects the backends, as in the
-//! differential suites.
+//! `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`.
 //!
 //! Usage: `cargo run -p cfa-bench --release --bin throughput_bench`
 //! (merges into BENCH_engine.json in the current directory).
 
 use cfa_core::engine::{EngineLimits, Status};
 use cfa_core::kcfa::{analyze_kcfa, submit_kcfa, KcfaJob};
-use cfa_core::parallel::{Replicated, Sharded};
+use cfa_core::parallel::Replicated;
 use cfa_core::pool::{AnalysisPool, PoolBackend, PoolConfig};
 use cfa_syntax::cps::CpsProgram;
-use cfa_testsupport::{backend_selection, fixpoint_of};
+use cfa_testsupport::fixpoint_of;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -206,14 +205,7 @@ fn main() {
         .map(|(_, p)| fixpoint_of(&analyze_kcfa(p, 1, EngineLimits::default()).fixpoint))
         .collect();
 
-    let selection = backend_selection();
-    let mut rows: Vec<ThroughputRow> = Vec::new();
-    if selection.replicated {
-        rows.push(run_backend::<Replicated>(&programs, &baselines, repeats));
-    }
-    if selection.sharded {
-        rows.push(run_backend::<Sharded>(&programs, &baselines, repeats));
-    }
+    let rows = [run_backend::<Replicated>(&programs, &baselines, repeats)];
 
     println!(
         "{:>10} | {:>5} {:>9} {:>12} | {:>9} {:>9} {:>9} | {:>10} {:>10}",

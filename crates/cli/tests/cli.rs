@@ -422,6 +422,82 @@ fn serve_answers_stats_with_pool_gauges() {
 }
 
 #[test]
+fn serve_takes_no_flags() {
+    let out = cfa()
+        .args(["serve", "--backend", "replicated"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+/// Source nested exactly `depth` levels deep, in two shapes: bare
+/// applications `((…(1)…))` and a chain of `let`s, each binding list
+/// of which adds two levels under its `let`.
+fn nested_sources(depth: usize) -> [(&'static str, String); 2] {
+    let parens = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let lets = depth - 2;
+    let mut chain: String = (0..lets).map(|i| format!("(let ((x{i} {i})) ")).collect();
+    chain.push_str("x0");
+    chain.push_str(&")".repeat(lets));
+    [("parens", parens), ("lets", chain)]
+}
+
+#[test]
+fn input_at_the_nesting_limit_runs_through_analyze_dump_and_races() {
+    for (shape, src) in nested_sources(cfa_syntax::sexpr::MAX_NESTING) {
+        let file = write_temp(&format!("deep-{shape}.scm"), &src);
+        for command in ["analyze", "dump", "races"] {
+            let out = cfa().arg(command).arg(&file).output().unwrap();
+            assert!(out.status.success(), "{command} {shape}: {out:?}");
+        }
+    }
+}
+
+#[test]
+fn input_past_the_nesting_limit_is_a_parse_error() {
+    for (shape, src) in nested_sources(cfa_syntax::sexpr::MAX_NESTING + 1) {
+        let file = write_temp(&format!("too-deep-{shape}.scm"), &src);
+        for command in ["analyze", "dump", "races"] {
+            let out = cfa().arg(command).arg(&file).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{command} {shape}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("deeper than"), "{command} {shape}: {err}");
+        }
+    }
+}
+
+#[test]
+fn serve_answers_around_a_hostile_nesting_request() {
+    use std::process::Stdio;
+    let mut child = cfa()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deep = "(".repeat(100_000);
+    let requests = format!(
+        "callgraph k=1\n(define (id x) x) (id 42)\n.\n\
+         callgraph k=1\n{deep}\n.\n\
+         callgraph k=0\n(define (id x) x) (id 7)\n.\n"
+    );
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(requests.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("ok 0 callgraph"), "{text}");
+    assert!(text.contains("err 1 compile error"), "{text}");
+    assert!(text.contains("deeper than"), "{text}");
+    assert!(text.contains("ok 2 callgraph"), "{text}");
+}
+
+#[test]
 fn dump_is_engine_invariant_and_compare_agrees() {
     let file = write_temp("dump.scm", JOINED_SCHEME);
     let tmp = std::env::temp_dir();

@@ -528,13 +528,6 @@ pub struct EngineLimits {
     /// re-evaluate in full (`new == all`). `None` (the default) never
     /// trims.
     pub store_bytes_watermark: Option<usize>,
-    /// Wake-batch coalescing policy of the parallel fabric
-    /// ([`crate::fabric::WakeBatching`]) — how much of its message
-    /// inbox a worker drains before returning to evaluation. Not a
-    /// resource limit, but carried here so every parallel entry point
-    /// inherits the scheduling knob without another parameter; the
-    /// sequential engine (which has no inbox) ignores it.
-    pub wake_batching: crate::fabric::WakeBatching,
     /// Telemetry configuration ([`crate::telemetry::TraceConfig`]):
     /// off (the default — one dead branch per would-be event),
     /// counters only, or full per-worker event rings merged into
@@ -551,7 +544,6 @@ impl Default for EngineLimits {
             stall_timeout: Some(Duration::from_secs(30)),
             fault_plan: None,
             store_bytes_watermark: None,
-            wake_batching: crate::fabric::WakeBatching::default(),
             trace: crate::telemetry::TraceConfig::default(),
         }
     }
@@ -647,18 +639,19 @@ pub struct SchedStats {
     /// backend; join/dep/wake messages for the sharded backend).
     pub inbox_batches: u64,
     /// Non-empty inbox drains performed (`inbox_batches /
-    /// inbox_drains` is the average batch one drain delivered;
-    /// [`crate::fabric::WakeBatching::Adaptive`] sizes its bounded
-    /// drains by the average *observed* depth, which delivered batch
-    /// sizes under-report once the bound kicks in).
+    /// inbox_drains` is the average batch one drain delivered; the
+    /// fabric sizes its bounded drains by the average *observed*
+    /// depth, which delivered batch sizes under-report once the bound
+    /// kicks in).
     pub inbox_drains: u64,
     /// Deepest inbox observed at any single drain (messages waiting,
     /// whether or not that drain delivered them all).
     pub max_inbox_depth: u64,
     /// Approximate store-resident bytes at quiescence: the one store of
-    /// a sequential run, the *sum over replicas* for the replicated
-    /// parallel backend (that is the memory the broadcast design pays),
-    /// the single shared store for the sharded backend.
+    /// a sequential run or a pool tenant, the *sum over replicas* for
+    /// the replicated parallel backend (that is the memory the
+    /// broadcast design pays), the single shared store for the sharded
+    /// backend.
     pub store_resident_bytes: u64,
 }
 

@@ -37,9 +37,9 @@
 //!   before each step;
 //! * **idle-spin backoff** and the [`SchedStats`] accounting for all of
 //!   the above;
-//! * **adaptive wake-batch coalescing** ([`WakeBatching`]) — how much
-//!   of the inbox one drain takes before the worker returns to
-//!   evaluating.
+//! * **adaptive wake-batch coalescing** — one inbox drain takes a
+//!   bounded batch sized by the worker's observed average inbox depth
+//!   (clamped to 8..=512), then the worker returns to evaluating.
 //!
 //! # What a backend contributes
 //!
@@ -93,10 +93,10 @@ const SEEN_SHARDS: usize = 64;
 /// consult the clock, or it could overrun `time_budget` unnoticed.
 pub const LIMIT_CHECK_CADENCE: u64 = 64;
 
-/// Smallest bounded inbox drain under [`WakeBatching::Adaptive`].
+/// Smallest bounded inbox drain.
 const MIN_DRAIN_BATCH: usize = 8;
 
-/// Largest bounded inbox drain under [`WakeBatching::Adaptive`].
+/// Largest bounded inbox drain.
 const MAX_DRAIN_BATCH: usize = 512;
 
 /// Seen-set shard for a configuration. Taken from the *high* hash bits:
@@ -107,37 +107,6 @@ fn seen_shard<C: Hash>(cfg: &C) -> usize {
     let mut h = FxHasher::default();
     cfg.hash(&mut h);
     (h.finish() >> 58) as usize % SEEN_SHARDS
-}
-
-/// How a worker drains its message inbox — the wake-batch coalescing
-/// policy.
-///
-/// Messages (fact batches, growth notifications, dependency
-/// registrations, remote wakeups) arrive in per-worker inboxes and are
-/// always delivered before new evaluations are taken on. The policy
-/// decides *how many* one drain takes:
-///
-/// * [`WakeBatching::Adaptive`] (the default) takes a bounded batch
-///   sized by the worker's observed average inbox depth (clamped to
-///   8..=512), then returns to evaluating. Workers that historically
-///   see deep inboxes take bigger gulps (amortizing the inbox lock);
-///   workers with shallow traffic take small ones, so evaluations —
-///   and the wake coalescing that deferring pinned re-runs buys —
-///   interleave with delivery instead of stalling behind a deep inbox.
-/// * [`WakeBatching::DrainAll`] takes the whole inbox and delivers
-///   every message before the next evaluation — the pre-fabric
-///   behavior, kept selectable so `engine_bench` can measure the
-///   before/after cells.
-///
-/// Carried on [`EngineLimits::wake_batching`]; ignored by the
-/// sequential engine (which has no inbox).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum WakeBatching {
-    /// Bounded drains sized by the observed average inbox depth.
-    #[default]
-    Adaptive,
-    /// Unbounded drains: deliver everything before evaluating.
-    DrainAll,
 }
 
 /// A deterministic fault-injection plan, threaded through cheap atomic
@@ -555,7 +524,6 @@ pub struct WorkerCtx<'f, C, M> {
     id: usize,
     fabric: &'f Fabric<C, M>,
     mode: EvalMode,
-    batching: WakeBatching,
     /// Pinned re-evaluations of locally homed configurations, by local
     /// index. Worker-private (no lock): only the owner pushes and pops.
     /// Deliberately dedup-free — the backend's epoch gate absorbs
@@ -576,7 +544,7 @@ pub struct WorkerCtx<'f, C, M> {
     /// branch per emit when tracing is off.
     pub trace: TraceBuffer,
     /// Sum of inbox depths observed at each non-empty drain — the
-    /// adaptive batching signal (`depth_sum / sched.inbox_drains` is
+    /// drain-size signal (`depth_sum / sched.inbox_drains` is
     /// the average depth this worker actually finds waiting).
     depth_sum: u64,
     iterations: u64,
@@ -654,18 +622,12 @@ impl WorkerState {
 }
 
 impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
-    fn new(
-        id: usize,
-        fabric: &'f Fabric<C, M>,
-        mode: EvalMode,
-        batching: WakeBatching,
-        trace: TraceBuffer,
-    ) -> Self {
+    fn new(id: usize, fabric: &'f Fabric<C, M>, mode: EvalMode, trace: TraceBuffer) -> Self {
         let state = WorkerState {
             trace,
             ..WorkerState::default()
         };
-        Self::resume(id, fabric, mode, batching, state)
+        Self::resume(id, fabric, mode, state)
     }
 
     /// Rebinds parked worker state to `fabric` for the next run quantum
@@ -674,14 +636,12 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
         id: usize,
         fabric: &'f Fabric<C, M>,
         mode: EvalMode,
-        batching: WakeBatching,
         state: WorkerState,
     ) -> Self {
         WorkerCtx {
             id,
             fabric,
             mode,
-            batching,
             wakes: state.wakes,
             wakeups: state.wakeups,
             delta_facts: state.delta_facts,
@@ -822,23 +782,23 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
         None
     }
 
-    /// How many messages the next inbox drain may take.
+    /// How many messages the next inbox drain may take: a bounded
+    /// batch sized by the worker's average inbox depth. Workers that
+    /// historically see deep inboxes take bigger gulps (amortizing the
+    /// inbox lock); workers with shallow traffic take small ones, so
+    /// evaluations — and the wake coalescing that deferring pinned
+    /// re-runs buys — interleave with delivery instead of stalling
+    /// behind a deep inbox.
     fn drain_limit(&self) -> usize {
-        match self.batching {
-            WakeBatching::DrainAll => usize::MAX,
-            WakeBatching::Adaptive => {
-                // Sized by the *observed* inbox depth (what was waiting
-                // when this worker drained), never by the delivered
-                // batch sizes — those are themselves capped by the
-                // limit, and averaging them would pin the limit at
-                // MIN_DRAIN_BATCH forever.
-                match self.depth_sum.checked_div(self.sched.inbox_drains) {
-                    None => MIN_DRAIN_BATCH,
-                    Some(avg) => usize::try_from(avg)
-                        .unwrap_or(MAX_DRAIN_BATCH)
-                        .clamp(MIN_DRAIN_BATCH, MAX_DRAIN_BATCH),
-                }
-            }
+        // Sized by the *observed* inbox depth (what was waiting when
+        // this worker drained), never by the delivered batch sizes —
+        // those are themselves capped by the limit, and averaging them
+        // would pin the limit at MIN_DRAIN_BATCH forever.
+        match self.depth_sum.checked_div(self.sched.inbox_drains) {
+            None => MIN_DRAIN_BATCH,
+            Some(avg) => usize::try_from(avg)
+                .unwrap_or(MAX_DRAIN_BATCH)
+                .clamp(MIN_DRAIN_BATCH, MAX_DRAIN_BATCH),
         }
     }
 
@@ -954,7 +914,7 @@ pub struct WorkerReport<B> {
 
 /// The unified worker loop — the one place every scheduling invariant
 /// lives. See the module docs for the protocol; the order of business
-/// each turn is: done flag, inbox (bounded by [`WakeBatching`]), fresh
+/// each turn is: done flag, inbox (one bounded batch), fresh
 /// work, pinned wakeups, steal, termination check / idle backoff /
 /// stall watchdog; per pop: fault hooks, cadenced cancel + wall-clock +
 /// watermark checks, epoch gate, iteration claim, contained evaluation.
@@ -1057,10 +1017,8 @@ pub(crate) fn worker_turn<B: BackendWorker>(
     }
 
     // Deliver messages before taking on new evaluations, so local
-    // wakeups are scheduled against the freshest store view. Under
-    // adaptive batching a bounded batch is taken and the worker
-    // falls through to evaluate; under drain-all the whole inbox is
-    // delivered first (the pre-fabric discipline).
+    // wakeups are scheduled against the freshest store view. A bounded
+    // batch is taken and the worker falls through to evaluate.
     let msgs = ctx.drain_inbox();
     if !msgs.is_empty() {
         for msg in msgs {
@@ -1070,9 +1028,6 @@ pub(crate) fn worker_turn<B: BackendWorker>(
             ctx.fabric.pending_sub();
         }
         ctx.note_busy_transition();
-        if ctx.batching == WakeBatching::DrainAll {
-            return Turn::Worked;
-        }
     }
 
     // Fresh exploration first — it discovers the configuration
@@ -1210,7 +1165,7 @@ pub fn drive<B: BackendWorker>(
     let ctx_for = |id: usize| {
         let mut trace = TraceBuffer::new(limits.trace);
         trace.set_origin(start);
-        WorkerCtx::new(id, fabric, mode, limits.wake_batching, trace)
+        WorkerCtx::new(id, fabric, mode, trace)
     };
     // Arm the fault plan for exactly this run: per-run counters and a
     // per-run cancel token, shared by reference across this run's

@@ -58,7 +58,6 @@ pub use canon::{
 };
 pub use domain::{AVal, AbsBasic, CallString};
 pub use engine::{DeltaFlow, EngineLimits, EvalMode, Status};
-pub use fabric::WakeBatching;
 pub use flatcfa::{
     analyze_mcfa, analyze_poly_kcfa, submit_mcfa, submit_poly_kcfa, FlatCfaResult, FlatJob,
     FlatPolicy,

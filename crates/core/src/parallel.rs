@@ -61,6 +61,14 @@
 //! programs. Worker replicas are equal at quiescence; the result store
 //! is still assembled by id-remapping union ([`AbsStore::merge_from`])
 //! as a defensive cross-check.
+//!
+//! # One worker: the pool tenant
+//!
+//! At one worker there is nothing to broadcast and nothing to union:
+//! the replica is a private store. That is the layout of every
+//! [`crate::pool::AnalysisPool`] tenant ([`Replicated`]'s
+//! [`crate::pool::PoolBackend`] impl), which hands the store over as
+//! the result instead of copying it.
 
 use crate::engine::{
     AbstractMachine, EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore,
@@ -446,7 +454,8 @@ pub trait StoreBackend {
 }
 
 /// Per-worker store replicas + all-to-all fact broadcast (the backend
-/// implemented by this module).
+/// implemented by this module); at one worker, a private store — the
+/// pool tenant layout.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Replicated;
 
@@ -485,15 +494,17 @@ impl crate::pool::PoolBackend for Replicated {
         let fabric: Fabric<M::Config, Batch<M>> = Fabric::new(1);
         fabric.submit_root(machine.initial());
         let backend = ReplicatedWorker::new(machine.fork());
-        // Mirrors the single-worker tail of run_fixpoint_parallel_with:
-        // merge the replica into a fresh store by id-remapping union,
-        // absorb the worker machine — so a pooled fixpoint is assembled
-        // exactly like a solo one.
+        // One worker owns the only store there is, so the tenant hands
+        // it over as the result — no union, no copy — and absorbs the
+        // worker machine, as a solo run does.
         let assemble =
             move |backend: ReplicatedWorker<M>, status, configs, totals: crate::pool::RunTotals| {
-                let mut store: AbsStore<M::Addr, M::Val> = AbsStore::new();
-                store.merge_from(&backend.store);
-                machine.absorb(backend.machine);
+                let ReplicatedWorker {
+                    machine: worker,
+                    store,
+                    ..
+                } = backend;
+                machine.absorb(worker);
                 crate::pool::PoolRun {
                     machine,
                     fixpoint: FixpointResult {
@@ -750,24 +761,6 @@ mod tests {
             assert_eq!(par.store.read(&0), seq.store.read(&0), "threads={threads}");
             assert_eq!(par.store.read(&1), seq.store.read(&1), "threads={threads}");
             assert_eq!(par.config_count(), seq.config_count(), "threads={threads}");
-        }
-    }
-
-    /// Both drain policies compute the same fixpoint — bounded batches
-    /// only reorder deliveries relative to evaluations.
-    #[test]
-    fn wake_batching_policies_agree() {
-        use crate::fabric::WakeBatching;
-        let seq = run_fixpoint(&mut Feedback, EngineLimits::default());
-        for batching in [WakeBatching::Adaptive, WakeBatching::DrainAll] {
-            let limits = EngineLimits {
-                wake_batching: batching,
-                ..EngineLimits::default()
-            };
-            let par = run_fixpoint_parallel(&mut Feedback, 3, limits);
-            assert_eq!(par.status, Status::Completed, "{batching:?}");
-            assert_eq!(par.store.read(&0), seq.store.read(&0), "{batching:?}");
-            assert_eq!(par.store.read(&1), seq.store.read(&1), "{batching:?}");
         }
     }
 

@@ -195,10 +195,10 @@ pub(crate) struct RunTotals {
     pub(crate) trace: RunTrace,
 }
 
-/// A store backend that can host pool tenants — implemented by
-/// [`crate::parallel::Replicated`] and [`crate::parallel::Sharded`],
-/// selecting how a tenant's store is laid out exactly as
-/// [`StoreBackend`] does for the dedicated engines.
+/// A store backend that can host pool tenants. Only
+/// [`crate::parallel::Replicated`] implements it: a tenant runs one
+/// worker, so its "replica" is simply a private store, handed over as
+/// the result; a one-worker shared store would only add locking.
 pub trait PoolBackend: StoreBackend {
     /// Builds the type-erased tenant that drives `machine` to its
     /// fixpoint under this backend, depositing a [`PoolRun`] when done.
@@ -217,7 +217,7 @@ pub trait PoolBackend: StoreBackend {
         M::Val: Send + Sync + 'static;
 }
 
-/// The generic single-slot tenant both backends instantiate: a private
+/// The single-slot tenant a pool backend instantiates: a private
 /// one-worker [`Fabric`], the backend worker homed on it, and the
 /// parked loop state the quanta resume. `G` assembles the backend's
 /// final state into the result `T` once the run stops.
@@ -286,8 +286,7 @@ where
             // queue wait never skews its timeline.
             state.trace.set_origin(start);
         }
-        let mut ctx =
-            WorkerCtx::resume(0, &self.fabric, self.mode, self.limits.wake_batching, state);
+        let mut ctx = WorkerCtx::resume(0, &self.fabric, self.mode, state);
         ctx.trace.tenant_resume(ctx.pops());
         if !self.seeded {
             self.seeded = true;

@@ -100,10 +100,9 @@ struct DepBatch {
 /// The store-specific half of a sharded worker: the home of the
 /// configurations it first evaluated (their read sets) and the owner of
 /// its row shard (their dependency lists). The loop that drives it is
-/// [`crate::fabric`]. The store is held by `Arc` — shared ownership is
-/// what lets a pool tenant (a `'static` [`crate::pool::TenantRun`])
-/// outlive the submitting stack frame; the dedicated engine recovers
-/// unique ownership with `Arc::try_unwrap` once the workers return.
+/// [`crate::fabric`]. Every worker of the run holds the one store by
+/// `Arc`; the engine recovers unique ownership with `Arc::try_unwrap`
+/// once the workers return.
 struct ShardedWorker<M: ParallelMachine> {
     machine: M,
     store: Arc<SharedStore<M::Addr, M::Val>>,
@@ -568,69 +567,6 @@ where
         elapsed: start.elapsed(),
         queue_wait: std::time::Duration::ZERO,
         trace: crate::telemetry::RunTrace::from_buffers(rings),
-    }
-}
-
-impl crate::pool::PoolBackend for crate::parallel::Sharded {
-    fn tenant<M>(
-        mut machine: M,
-        limits: EngineLimits,
-        mode: EvalMode,
-        deposit: Box<dyn FnOnce(crate::pool::PoolRun<M>) + Send>,
-    ) -> Box<dyn crate::pool::TenantRun>
-    where
-        M: ParallelMachine + 'static,
-        M::Config: Send + Sync + 'static,
-        M::Addr: Send + Sync + Ord + 'static,
-        M::Val: Send + Sync + 'static,
-    {
-        let store: Arc<SharedStore<M::Addr, M::Val>> = Arc::new(SharedStore::new(1));
-        let fabric: Fabric<M::Config, Msg> = Fabric::new(1);
-        fabric.submit_root(machine.initial());
-        let backend = ShardedWorker::new(machine.fork(), Arc::clone(&store));
-        // Mirrors the tail of run_fixpoint_sharded_with for one worker:
-        // absorb the worker machine, measure the store, drain it into
-        // an AbsStore — the same assembly a solo run performs.
-        let assemble =
-            move |backend: ShardedWorker<M>, status, configs, totals: crate::pool::RunTotals| {
-                let ShardedWorker {
-                    machine: worker,
-                    store: worker_store,
-                    joins,
-                    value_joins,
-                    ..
-                } = backend;
-                // The unbound `..` fields live to the end of this closure,
-                // so the worker's store reference must be released by hand
-                // before ownership can be reclaimed below.
-                drop(worker_store);
-                machine.absorb(worker);
-                let mut sched = totals.sched;
-                sched.store_resident_bytes = store.approx_bytes() as u64;
-                let store = Arc::try_unwrap(store)
-                    .unwrap_or_else(|_| panic!("tenant store reference released"))
-                    .into_abs_store(joins, value_joins);
-                crate::pool::PoolRun {
-                    machine,
-                    fixpoint: FixpointResult {
-                        configs,
-                        store,
-                        status,
-                        iterations: totals.iterations,
-                        skipped: totals.skipped,
-                        wakeups: totals.wakeups,
-                        delta_facts: totals.delta_facts,
-                        delta_applies: totals.delta_applies,
-                        sched,
-                        elapsed: totals.elapsed,
-                        queue_wait: totals.queue_wait,
-                        trace: totals.trace,
-                    },
-                }
-            };
-        Box::new(crate::pool::SoloTenant::new(
-            fabric, backend, limits, mode, assemble, deposit,
-        ))
     }
 }
 

@@ -26,9 +26,11 @@
 //!   protocol as the replicated engine, and a result assembly that
 //!   just drains the shared store (no `merge_from` union).
 //!
-//! Select between backends through
+//! Select between the N-worker backends through
 //! [`crate::parallel::StoreBackend`] ([`crate::parallel::Replicated`]
-//! vs [`crate::parallel::Sharded`]).
+//! vs [`crate::parallel::Sharded`]). Pool tenants run one worker and
+//! always use a private store; a one-worker shared store only adds
+//! locking to it.
 
 pub mod engine;
 pub(crate) mod pool;

@@ -7,6 +7,11 @@
 //! string literals with escapes, symbols, quote (`'x` reads as
 //! `(quote x)`), and `;` line comments.
 //!
+//! Lists and quotes nest at most [`MAX_NESTING`] levels deep. The
+//! reader, the desugarer and the CPS converter all recurse once per
+//! level, so deeper input is rejected here with a [`ReadError`] instead
+//! of overflowing the stack further down the pipeline.
+//!
 //! # Examples
 //!
 //! ```
@@ -18,6 +23,17 @@
 //! ```
 
 use std::fmt;
+
+/// The deepest nesting of lists and quotes the reader accepts.
+///
+/// About four times the deepest program in the workloads suite, the
+/// paper's worst-case family (depth 130 at n = 64) and the generated
+/// corpora. Low enough that desugaring and CPS conversion of a form
+/// this deep fit an 8 MiB main-thread stack with at least 1.5×
+/// headroom even in a debug build; the costliest shapes, nested quotes
+/// and nested `list` calls, first overflow between 800 and 900 levels
+/// there.
+pub const MAX_NESTING: usize = 512;
 
 /// A line/column source position (1-based).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -121,6 +137,8 @@ struct Reader<'a> {
     at: usize,
     line: u32,
     col: u32,
+    /// Lists and quotes open around the current read position.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -130,6 +148,7 @@ impl<'a> Reader<'a> {
             at: 0,
             line: 1,
             col: 1,
+            depth: 0,
         }
     }
 
@@ -187,9 +206,35 @@ impl<'a> Reader<'a> {
         let pos = self.pos();
         match self.peek() {
             None => Err(self.error("unexpected end of input")),
-            Some(b'(') | Some(b'[') => {
-                let open = self.bump().expect("peeked");
-                let close = if open == b'(' { b')' } else { b']' };
+            Some(b'(' | b'[' | b'\'') => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.error(format!("input nests deeper than {MAX_NESTING} levels")));
+                }
+                self.depth += 1;
+                let form = self.read_nested(pos);
+                self.depth -= 1;
+                form
+            }
+            Some(b')') | Some(b']') => Err(self.error("unexpected closing delimiter")),
+            Some(b'"') => self.read_string(pos),
+            Some(b'#') => self.read_hash(pos),
+            _ => self.read_atom(pos),
+        }
+    }
+
+    /// Reads the list or quoted form opening at `pos` (one nesting
+    /// level, already counted by [`Reader::read`]).
+    fn read_nested(&mut self, pos: Pos) -> Result<Sexpr, ReadError> {
+        match self.bump() {
+            Some(b'\'') => {
+                let quoted = self.read()?;
+                Ok(Sexpr::List(
+                    pos,
+                    vec![Sexpr::Symbol(pos, "quote".to_owned()), quoted],
+                ))
+            }
+            open => {
+                let close = if open == Some(b'(') { b')' } else { b']' };
                 let mut items = Vec::new();
                 loop {
                     self.skip_trivia();
@@ -206,18 +251,6 @@ impl<'a> Reader<'a> {
                     }
                 }
             }
-            Some(b')') | Some(b']') => Err(self.error("unexpected closing delimiter")),
-            Some(b'\'') => {
-                self.bump();
-                let quoted = self.read()?;
-                Ok(Sexpr::List(
-                    pos,
-                    vec![Sexpr::Symbol(pos, "quote".to_owned()), quoted],
-                ))
-            }
-            Some(b'"') => self.read_string(pos),
-            Some(b'#') => self.read_hash(pos),
-            _ => self.read_atom(pos),
         }
     }
 
@@ -390,6 +423,38 @@ mod tests {
     #[test]
     fn errors_on_trailing_junk() {
         assert!(parse_one("(a) b").is_err());
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_reads() {
+        let n = MAX_NESTING;
+        let src = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_one(&src).is_ok());
+        let quotes = format!("{}x", "'".repeat(n));
+        assert!(parse_one(&quotes).is_ok());
+        // Depth counts open forms, not forms read: a long list of
+        // short lists stays two levels deep.
+        assert!(parse_one(&format!("({})", "(a) ".repeat(10 * n))).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_read_error() {
+        let n = MAX_NESTING + 1;
+        for src in [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1{}", "[".repeat(n), "]".repeat(n)),
+            format!("{}x", "'".repeat(n)),
+            // Lists and quotes count toward one shared depth.
+            format!("{}'{}", "(".repeat(n - 1), ")".repeat(n - 1)),
+            // Unterminated input is rejected at the limit, not read on.
+            "(".repeat(100_000),
+        ] {
+            let err = parse_all(&src).unwrap_err();
+            assert!(
+                err.message.contains(&format!("deeper than {MAX_NESTING}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

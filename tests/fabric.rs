@@ -19,7 +19,6 @@
 //! phantom pop breaks it from the left.
 
 use cfa::analysis::engine::{AbstractMachine, EngineLimits, EvalMode, Status, TrackedStore};
-use cfa::analysis::fabric::WakeBatching;
 use cfa::analysis::parallel::{
     run_fixpoint_parallel_on, ParallelMachine, Replicated, Sharded, StoreBackend,
 };
@@ -78,16 +77,16 @@ fn assert_sched_identity<C, A, V>(r: &cfa::analysis::engine::FixpointResult<C, A
     );
 }
 
-fn rendezvous_through<B: StoreBackend>(batching: WakeBatching) {
-    let limits = EngineLimits {
-        wake_batching: batching,
-        ..EngineLimits::default()
-    };
+fn rendezvous_through<B: StoreBackend>() {
     for round in 0..10 {
         let mut machine = Rendezvous::new();
-        let r =
-            run_fixpoint_parallel_on::<B, _>(&mut machine, 2, limits.clone(), EvalMode::SemiNaive);
-        let label = format!("{} {batching:?} round {round}", B::NAME);
+        let r = run_fixpoint_parallel_on::<B, _>(
+            &mut machine,
+            2,
+            EngineLimits::default(),
+            EvalMode::SemiNaive,
+        );
+        let label = format!("{} round {round}", B::NAME);
         assert_sched_identity(&r, &label);
         assert_eq!(
             r.store.read(&5),
@@ -103,53 +102,45 @@ fn rendezvous_through<B: StoreBackend>(batching: WakeBatching) {
 }
 
 /// The forced stale-snapshot interleaving, through the unified driver,
-/// on both backends and both drain policies: no wakeup may be lost and
-/// the counter identity must hold identically.
+/// on both backends: no wakeup may be lost and the counter identity
+/// must hold identically.
 #[test]
 fn rendezvous_sched_invariants_hold_for_both_backends() {
-    for batching in [WakeBatching::Adaptive, WakeBatching::DrainAll] {
-        rendezvous_through::<Replicated>(batching);
-        rendezvous_through::<Sharded>(batching);
-    }
+    rendezvous_through::<Replicated>();
+    rendezvous_through::<Sharded>();
 }
 
 /// Dense wakeup traffic through the unified driver: the counter
 /// identity and the fixpoint hold for both backends across thread
-/// counts, modes, and drain policies.
+/// counts and modes.
 #[test]
 fn feedback_sched_invariants_hold_for_both_backends() {
     let expect = cfa::analysis::engine::run_fixpoint(&mut Feedback, EngineLimits::default());
-    for batching in [WakeBatching::Adaptive, WakeBatching::DrainAll] {
-        let limits = EngineLimits {
-            wake_batching: batching,
-            ..EngineLimits::default()
-        };
-        for threads in [1, 2, 4] {
-            for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
-                let rep = run_fixpoint_parallel_on::<Replicated, _>(
-                    &mut Feedback,
-                    threads,
-                    limits.clone(),
-                    mode,
-                );
-                let sh = run_fixpoint_parallel_on::<Sharded, _>(
-                    &mut Feedback,
-                    threads,
-                    limits.clone(),
-                    mode,
-                );
-                for (r, name) in [(&rep, "replicated"), (&sh, "sharded")] {
-                    let label = format!("{name} {batching:?} threads={threads} {mode:?}");
-                    assert_sched_identity(r, &label);
-                    for a in 0..3u8 {
-                        assert_eq!(
-                            r.store.read(&a),
-                            expect.store.read(&a),
-                            "{label}: fixpoint agrees with sequential"
-                        );
-                    }
-                    assert_eq!(r.config_count(), expect.config_count(), "{label}");
+    for threads in [1, 2, 4] {
+        for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
+            let rep = run_fixpoint_parallel_on::<Replicated, _>(
+                &mut Feedback,
+                threads,
+                EngineLimits::default(),
+                mode,
+            );
+            let sh = run_fixpoint_parallel_on::<Sharded, _>(
+                &mut Feedback,
+                threads,
+                EngineLimits::default(),
+                mode,
+            );
+            for (r, name) in [(&rep, "replicated"), (&sh, "sharded")] {
+                let label = format!("{name} threads={threads} {mode:?}");
+                assert_sched_identity(r, &label);
+                for a in 0..3u8 {
+                    assert_eq!(
+                        r.store.read(&a),
+                        expect.store.read(&a),
+                        "{label}: fixpoint agrees with sequential"
+                    );
                 }
+                assert_eq!(r.config_count(), expect.config_count(), "{label}");
             }
         }
     }

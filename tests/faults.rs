@@ -792,7 +792,8 @@ fn only_the_planned_run_faults_on_every_backend() {
 /// The 2-tenant pool flavor of `leaked_pending_trips_watchdog`: the
 /// stall watchdog is scoped per tenant, so a stalled run aborts with
 /// the watchdog diagnostic while its pool-mate completes untouched.
-fn stalled_tenant_spares_its_pool_mate<B: cfa::analysis::pool::PoolBackend>() {
+#[test]
+fn stalled_tenant_spares_its_pool_mate_on_every_backend() {
     use cfa::analysis::pool::{AnalysisPool, PoolConfig};
     let pool = AnalysisPool::new(PoolConfig {
         threads: 2,
@@ -802,40 +803,27 @@ fn stalled_tenant_spares_its_pool_mate<B: cfa::analysis::pool::PoolBackend>() {
     let mut limits = limits_with_plan(FaultPlan::new().leak_pending_at_pop(5));
     limits.stall_timeout = Some(Duration::from_millis(200));
     let stalled =
-        cfa::analysis::kcfa::submit_kcfa::<B>(&pool, std::sync::Arc::clone(&p), 1, limits);
-    let healthy = cfa::analysis::kcfa::submit_kcfa::<B>(&pool, p, 1, EngineLimits::default());
+        cfa::analysis::kcfa::submit_kcfa::<Replicated>(&pool, std::sync::Arc::clone(&p), 1, limits);
+    let healthy =
+        cfa::analysis::kcfa::submit_kcfa::<Replicated>(&pool, p, 1, EngineLimits::default());
 
     let healthy_run = healthy.wait();
     assert!(
         healthy_run.fixpoint.status.is_complete(),
-        "{}: pool-mate of a stalled tenant must complete, got {:?}",
-        B::NAME,
+        "pool-mate of a stalled tenant must complete, got {:?}",
         healthy_run.fixpoint.status
     );
     let stalled_run = stalled.wait();
     let Status::Aborted { config, message } = &stalled_run.fixpoint.status else {
         panic!(
-            "{}: expected the per-tenant watchdog to abort the stalled run, got {:?}",
-            B::NAME,
+            "expected the per-tenant watchdog to abort the stalled run, got {:?}",
             stalled_run.fixpoint.status
         );
     };
-    assert_eq!(config.as_str(), Status::STALL_WATCHDOG, "{}", B::NAME);
+    assert_eq!(config.as_str(), Status::STALL_WATCHDOG);
     assert!(
         message.contains("pending"),
-        "{}: watchdog dump {message:?} should report the stuck pending count",
-        B::NAME
+        "watchdog dump {message:?} should report the stuck pending count",
     );
     pool.shutdown();
-}
-
-#[test]
-fn stalled_tenant_spares_its_pool_mate_on_every_backend() {
-    let backends = backend_selection();
-    if backends.replicated {
-        stalled_tenant_spares_its_pool_mate::<Replicated>();
-    }
-    if backends.sharded {
-        stalled_tenant_spares_its_pool_mate::<Sharded>();
-    }
 }
