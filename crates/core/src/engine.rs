@@ -50,7 +50,7 @@
 //! their transitions through it.
 
 use crate::fxhash::FxHashMap;
-use crate::store::{AbsStore, Flow, FlowSet};
+use crate::store::{AbsStore, Flow, FlowSet, ValuePool};
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
@@ -170,7 +170,11 @@ impl DeltaFlow {
 /// sharded parallel workers wrap a [`crate::shardstore::ShardView`]
 /// onto the globally shared store (reads snapshot any row, writes go
 /// through the shared row, and growth notifications route to the row's
-/// owner shard). Machines see one API either way.
+/// owner shard). A client that re-steps a finished run — the race
+/// detector in [`crate::races`] — wraps the run's own store read-only:
+/// every step is a full evaluation, and joins are skipped (see
+/// [`restep`] for the closure that makes this exact). Machines see one
+/// API either way.
 #[derive(Debug)]
 pub struct TrackedStore<'a, A, V> {
     view: View<'a, A, V>,
@@ -182,6 +186,70 @@ pub struct TrackedStore<'a, A, V> {
 enum View<'a, A, V> {
     Local(LocalView<'a, A, V>),
     Shard(crate::shardstore::ShardView<'a, A, V>),
+    Frozen(FrozenView<'a, A, V>),
+}
+
+/// The read-only backend: a finished run's store, borrowed by a client
+/// that re-steps the run's configurations.
+///
+/// At a completed fixpoint every join of a full re-step is a no-op (the
+/// configurations and store are closed under the transfer function;
+/// [`restep`] checks exactly that), so joins are skipped rather than
+/// scanned. On a partial run the skipped joins only make the client's
+/// view under-approximate the frontier the run had not reached. No
+/// dependency is recorded. Values a step constructs that the store
+/// never interned get ids past the store's own.
+#[derive(Debug)]
+struct FrozenView<'a, A, V> {
+    store: &'a AbsStore<A, V>,
+    /// The re-step's own values, numbered from `store.distinct_values()`.
+    extra: ValuePool<V>,
+    /// Whether `store` is a completed fixpoint; debug builds then check
+    /// that every skipped join really was a no-op.
+    saturated: bool,
+}
+
+// The view's methods are `#[cold]`: the engines never take the frozen
+// arm of a `TrackedStore` call, and inlined into the machines' hot
+// loops it cost the sequential `dump` benchmark workload about 6%.
+impl<A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> FrozenView<'_, A, V> {
+    fn base(&self) -> u32 {
+        u32::try_from(self.store.distinct_values()).expect("value id overflow")
+    }
+
+    #[cold]
+    fn read(&self, addr: &A) -> Flow {
+        self.store.read_flow(addr)
+    }
+
+    #[cold]
+    fn val(&self, id: u32) -> &V {
+        match id.checked_sub(self.base()) {
+            Some(extra) => self.extra.get(extra),
+            None => self.store.val(id),
+        }
+    }
+
+    #[cold]
+    fn intern(&mut self, value: V) -> u32 {
+        match self.store.lookup_val(&value) {
+            Some(id) => id,
+            None => self.base() + self.extra.intern(value),
+        }
+    }
+
+    #[cold]
+    fn materialize(&self, flow: &Flow) -> FlowSet<V> {
+        flow.iter().map(|id| self.val(id).clone()).collect()
+    }
+
+    /// Whether the row at `addr` already holds every id of `flow` (both
+    /// sorted, so one forward scan decides it).
+    fn holds(&self, addr: &A, flow: &Flow) -> bool {
+        let row = self.store.read_flow(addr);
+        let mut have = row.ids().iter();
+        flow.ids().iter().all(|id| have.any(|h| h == id))
+    }
 }
 
 /// The single-owner backend: a mutable borrow of one [`AbsStore`].
@@ -224,6 +292,20 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         }
     }
 
+    /// Wraps a finished run's store read-only for a client re-step (see
+    /// [`FrozenView`]); `saturated` says the run completed.
+    pub(crate) fn frozen(store: &'a AbsStore<A, V>, saturated: bool) -> Self {
+        TrackedStore {
+            view: View::Frozen(FrozenView {
+                store,
+                extra: ValuePool::new(),
+                saturated,
+            }),
+            delta_facts: 0,
+            delta_applies: 0,
+        }
+    }
+
     /// Wraps a sharded worker's view of the global store.
     pub(crate) fn wrap_shard(view: crate::shardstore::ShardView<'a, A, V>) -> Self {
         TrackedStore {
@@ -244,7 +326,9 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
                 self.delta_facts,
                 self.delta_applies,
             ),
-            View::Shard(_) => unreachable!("into_parts is the local-backend accessor"),
+            View::Shard(_) | View::Frozen(_) => {
+                unreachable!("into_parts is the local-backend accessor")
+            }
         }
     }
 
@@ -253,7 +337,9 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
     pub(crate) fn into_shard_parts(self) -> (crate::shardstore::ShardView<'a, A, V>, u64, u64) {
         match self.view {
             View::Shard(v) => (v, self.delta_facts, self.delta_applies),
-            View::Local(_) => unreachable!("into_shard_parts is the sharded-backend accessor"),
+            View::Local(_) | View::Frozen(_) => {
+                unreachable!("into_shard_parts is the sharded-backend accessor")
+            }
         }
     }
 
@@ -266,6 +352,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
                 v.store.flow_by_id(id)
             }
             View::Shard(v) => v.read(addr),
+            View::Frozen(v) => v.read(addr),
         }
     }
 
@@ -293,6 +380,13 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
                 DeltaFlow { all, new }
             }
             View::Shard(v) => v.read_with_delta(addr),
+            View::Frozen(v) => {
+                let all = v.read(addr);
+                DeltaFlow {
+                    new: all.clone(),
+                    all,
+                }
+            }
         }
     }
 
@@ -302,6 +396,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         match &self.view {
             View::Local(v) => v.baseline.is_none(),
             View::Shard(v) => v.first_visit(),
+            View::Frozen(_) => true,
         }
     }
 
@@ -334,6 +429,10 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
             View::Shard(v) => {
                 self.delta_facts += v.join_ids(addr, flow.ids());
             }
+            View::Frozen(v) => debug_assert!(
+                !v.saturated || v.holds(addr, flow),
+                "a full re-step of a completed fixpoint grew a store row"
+            ),
         }
     }
 
@@ -342,6 +441,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         match &self.view {
             View::Local(v) => v.store.val(id),
             View::Shard(v) => v.val(id),
+            View::Frozen(v) => v.val(id),
         }
     }
 
@@ -350,6 +450,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         match &mut self.view {
             View::Local(v) => v.store.val_id(value),
             View::Shard(v) => v.intern(value),
+            View::Frozen(v) => v.intern(value),
         }
     }
 
@@ -359,6 +460,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         match &self.view {
             View::Local(v) => v.store.materialize(flow),
             View::Shard(v) => v.materialize(flow),
+            View::Frozen(v) => v.materialize(flow),
         }
     }
 
@@ -368,6 +470,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
         match &self.view {
             View::Local(v) => v.store.read_flow(addr),
             View::Shard(v) => v.peek(addr),
+            View::Frozen(v) => v.read(addr),
         }
     }
 }
@@ -723,6 +826,43 @@ impl<C, A, V> FixpointResult<C, A, V> {
     pub fn config_count(&self) -> usize {
         self.configs.len()
     }
+}
+
+/// What one full re-step of every configuration adds to a finished run
+/// (see [`restep`]).
+#[derive(Debug)]
+pub struct Restep<C, A> {
+    /// The addresses a join grew, once per growing join.
+    pub grown: Vec<A>,
+    /// Successors missing from the run's configuration set.
+    pub escaped: Vec<C>,
+}
+
+/// Re-steps every configuration of `fixpoint` as a full evaluation (no
+/// baseline) against a private copy of its store, recording growth.
+///
+/// Both lists of the result are empty exactly when the run is closed
+/// under the machine's transfer function — true of every completed
+/// fixpoint, whichever engine computed it. That closure is what lets the
+/// race client re-step a completed run on a read-only view of its
+/// store and skip every join.
+pub fn restep<M: AbstractMachine>(
+    machine: &mut M,
+    fixpoint: &FixpointResult<M::Config, M::Addr, M::Val>,
+) -> Restep<M::Config, M::Addr> {
+    let mut store = fixpoint.store.clone();
+    let known: std::collections::HashSet<&M::Config> = fixpoint.configs.iter().collect();
+    let mut out = Vec::new();
+    let mut grown = Vec::new();
+    let mut escaped = Vec::new();
+    for config in &fixpoint.configs {
+        let mut tracked = TrackedStore::new(&mut store);
+        machine.step(config, &mut tracked, &mut out);
+        let (_, grew, ..) = tracked.into_parts();
+        grown.extend(grew.into_iter().map(|id| store.addr(id).clone()));
+        escaped.extend(out.drain(..).filter(|succ| !known.contains(succ)));
+    }
+    Restep { grown, escaped }
 }
 
 /// Renders a caught panic payload for [`Status::Aborted`]: `panic!`
@@ -1103,6 +1243,46 @@ mod tests {
         assert_eq!(r.status, Status::Completed);
         assert_eq!(r.config_count(), 11);
         assert_eq!(r.store.read(&0), [0u32, 3, 6, 9].into_iter().collect());
+    }
+
+    #[test]
+    fn restep_is_empty_at_a_fixpoint_and_finds_a_partial_frontier() {
+        let full = run_fixpoint(&mut Counter { n: 10 }, EngineLimits::default());
+        let closure = restep(&mut Counter { n: 10 }, &full);
+        assert!(closure.grown.is_empty() && closure.escaped.is_empty());
+
+        // Configs 0..=5 are reached; 5 is queued but never evaluated.
+        let partial = run_fixpoint(&mut Counter { n: 10 }, EngineLimits::iterations(5));
+        assert_eq!(partial.status, Status::IterationLimit);
+        let closure = restep(&mut Counter { n: 10 }, &partial);
+        assert_eq!(closure.grown, vec![2]);
+        assert_eq!(closure.escaped, vec![6]);
+    }
+
+    #[test]
+    fn frozen_view_reads_the_store_and_numbers_new_values_past_it() {
+        let r = run_fixpoint(&mut Counter { n: 10 }, EngineLimits::default());
+        let mut view = TrackedStore::frozen(&r.store, true);
+        assert!(view.first_visit());
+        let row = view.read(&0);
+        assert_eq!(view.materialize(&row), r.store.read(&0));
+        let known = view.intern(3);
+        assert_eq!(*view.val(known), 3);
+        let fresh = view.intern(99);
+        assert!(fresh as usize >= r.store.distinct_values());
+        assert_eq!(*view.val(fresh), 99);
+        assert_eq!(view.intern(99), fresh);
+        // Joining what a row already holds is the no-op the view skips.
+        view.join(&0, [0, 9]);
+        assert_eq!(r.store.read(&0), [0u32, 3, 6, 9].into_iter().collect());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "grew a store row")]
+    fn frozen_view_of_a_completed_run_rejects_a_growing_join() {
+        let r = run_fixpoint(&mut Counter { n: 10 }, EngineLimits::default());
+        TrackedStore::frozen(&r.store, true).join(&0, [1]);
     }
 
     #[test]

@@ -134,7 +134,9 @@ impl<'p> FlatCfaMachine<'p> {
         }
     }
 
-    fn eval(
+    /// `Ê(e, ρ̂, σ̂)` — evaluate an atom to a flow of interned value ids,
+    /// split against the configuration's baseline ([`DeltaFlow`]).
+    pub(crate) fn eval(
         &self,
         e: &AExp,
         env: &CallString,
@@ -614,9 +616,8 @@ impl<'p> crate::parallel::ParallelMachine for FlatCfaMachine<'p> {
 // ---------------------------------------------------------------------
 
 impl<'p> FlatCfaMachine<'p> {
-    /// The original value-level `Ê`, kept for [`ReferenceMachine`] and
-    /// reused by the race detector's post-fixpoint fact extraction.
-    pub(crate) fn eval_ref(
+    /// The original value-level `Ê`, kept for [`ReferenceMachine`].
+    fn eval_ref(
         &self,
         e: &AExp,
         env: &CallString,

@@ -263,7 +263,7 @@ impl<'p> KCfaMachine<'p> {
     /// Variable reads hand back the store row's shared id set — no set
     /// is cloned and no value is touched; literals and λ-closures count
     /// as new only on a full (first) visit.
-    fn eval(
+    pub(crate) fn eval(
         &mut self,
         e: &AExp,
         benv: &BEnvK,
@@ -766,9 +766,8 @@ impl<'p> crate::parallel::ParallelMachine for KCfaMachine<'p> {
 // ---------------------------------------------------------------------
 
 impl<'p> KCfaMachine<'p> {
-    /// The original value-level `Ê`, kept for [`ReferenceMachine`] and
-    /// reused by the race detector's post-fixpoint fact extraction.
-    pub(crate) fn eval_ref(
+    /// The original value-level `Ê`, kept for [`ReferenceMachine`].
+    fn eval_ref(
         &self,
         e: &AExp,
         benv: &BEnvK,

@@ -8,10 +8,12 @@
 //!
 //! 1. **Thread graph.** Every reached configuration becomes a node,
 //!    tagged with its abstract thread id. Successor edges are recovered
-//!    by re-stepping each configuration with the value-level
-//!    [`ReferenceMachine`] against the final store (at saturation this
-//!    reproduces exactly the engine's edges; the differential suite
-//!    checks that equivalence). Spawn nodes record the child thread they
+//!    by re-stepping each configuration through the analysis's own
+//!    id-level [`AbstractMachine::step`], as a full evaluation on a
+//!    read-only view of the fixpoint's store. At a completed fixpoint
+//!    this reproduces exactly the engine's edges and every join is a
+//!    no-op, so the view skips the joins ([`crate::engine::restep`]
+//!    checks that closure). Spawn nodes record the child thread they
 //!    create; join nodes record the thread they *must* wait for (when
 //!    the handle flow is a singleton thread id); primitive calls on
 //!    atoms record `(cell, access-kind)` facts.
@@ -66,11 +68,11 @@ use cfa_concrete::base::Slot;
 use cfa_syntax::cps::{AExp, CallId, CallKind, CpsProgram, Label};
 
 use crate::domain::{AVal, CallString};
-use crate::engine::FixpointResult;
+use crate::engine::{AbstractMachine, FixpointResult, TrackedStore};
 use crate::flatcfa::{AddrM, FlatCfaMachine, FlatPolicy, MConfig, ValM};
 use crate::kcfa::{AddrK, KCfaMachine, KConfig, ValK};
 use crate::prim::{classify, PrimSpec};
-use crate::reference::{RefStore, RefTrackedStore, ReferenceMachine};
+use crate::store::Flow;
 
 /// How a primitive touches an atom cell.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -142,23 +144,24 @@ struct ThreadGraph {
     entry: Option<usize>,
 }
 
-/// What the detector needs from a machine beyond [`ReferenceMachine`]:
-/// access to thread ids, the value-level evaluator, and the projections
-/// from machine values/addresses onto the machine-independent facts.
-trait ThreadedMachine: ReferenceMachine {
+/// What the detector needs from a machine beyond [`AbstractMachine`]:
+/// access to thread ids, the atom evaluator, and the projections from
+/// machine values/addresses onto the machine-independent facts.
+trait ThreadedMachine: AbstractMachine {
     /// The abstract thread id of a configuration.
     fn tid(config: &Self::Config) -> &CallString;
     /// The call site a configuration is about to execute.
     fn call(config: &Self::Config) -> CallId;
     /// The spawn-string bound (abstract thread-pool size).
     fn spawn_bound(&self) -> usize;
-    /// Value-level atomic-expression evaluation in `config`'s environment.
+    /// Atomic-expression evaluation in `config`'s environment, as a flow
+    /// of value ids (resolve them through [`TrackedStore::val`]).
     fn eval(
-        &self,
+        &mut self,
         e: &AExp,
         config: &Self::Config,
-        store: &mut RefTrackedStore<'_, Self::Addr, Self::Val>,
-    ) -> BTreeSet<Self::Val>;
+        store: &mut TrackedStore<'_, Self::Addr, Self::Val>,
+    ) -> Flow;
     /// Splits an address into its slot and context components.
     fn addr_parts(addr: &Self::Addr) -> (&Slot, &CallString);
     /// Projects a thread handle to its result address, if `v` is one.
@@ -181,12 +184,12 @@ impl ThreadedMachine for KCfaMachine<'_> {
     }
 
     fn eval(
-        &self,
+        &mut self,
         e: &AExp,
         config: &KConfig,
-        store: &mut RefTrackedStore<'_, AddrK, ValK>,
-    ) -> BTreeSet<ValK> {
-        self.eval_ref(e, &config.benv, store)
+        store: &mut TrackedStore<'_, AddrK, ValK>,
+    ) -> Flow {
+        KCfaMachine::eval(self, e, &config.benv, store).all
     }
 
     fn addr_parts(addr: &AddrK) -> (&Slot, &CallString) {
@@ -222,12 +225,12 @@ impl ThreadedMachine for FlatCfaMachine<'_> {
     }
 
     fn eval(
-        &self,
+        &mut self,
         e: &AExp,
         config: &MConfig,
-        store: &mut RefTrackedStore<'_, AddrM, ValM>,
-    ) -> BTreeSet<ValM> {
-        self.eval_ref(e, &config.env, store)
+        store: &mut TrackedStore<'_, AddrM, ValM>,
+    ) -> Flow {
+        FlatCfaMachine::eval(self, e, &config.env, store).all
     }
 
     fn addr_parts(addr: &AddrM) -> (&Slot, &CallString) {
@@ -249,40 +252,39 @@ impl ThreadedMachine for FlatCfaMachine<'_> {
     }
 }
 
-/// Builds the thread graph by re-stepping every saturated configuration
-/// against the final store.
+/// Builds the thread graph by re-stepping every configuration of
+/// `fixpoint` against its own store, read-only.
 ///
-/// At a completed fixpoint every reference-step successor is itself a
-/// saturated configuration; if the run was cut short by limits, unknown
-/// successors are dropped and the graph (like the analysis itself)
-/// under-approximates that frontier.
+/// At a completed fixpoint every step successor is itself a reached
+/// configuration. If the run was cut short by limits, unknown
+/// successors are dropped and the skipped joins never feed later
+/// steps, so the graph (like the analysis itself) under-approximates
+/// that frontier.
 fn build_graph<M: ThreadedMachine>(
     machine: &mut M,
     program: &CpsProgram,
-    configs: &[M::Config],
-    store: &mut RefStore<M::Addr, M::Val>,
+    fixpoint: &FixpointResult<M::Config, M::Addr, M::Val>,
 ) -> ThreadGraph {
+    let configs = &fixpoint.configs;
+    let mut store = TrackedStore::frozen(&fixpoint.store, fixpoint.status.is_complete());
     let index: HashMap<&M::Config, usize> =
         configs.iter().enumerate().map(|(i, c)| (c, i)).collect();
     let entry = index.get(&machine.initial()).copied();
     let mut nodes = Vec::with_capacity(configs.len());
     let mut succs = Vec::with_capacity(configs.len());
     let mut tids = BTreeSet::new();
+    let mut out = Vec::new();
     for config in configs {
         let tid = M::tid(config).clone();
         tids.insert(tid.clone());
-        let mut out = Vec::new();
-        {
-            let mut tracked = RefTrackedStore::wrap(store);
-            machine.step(config, &mut tracked, &mut out);
-        }
-        let mut edges = BTreeSet::new();
-        for succ in &out {
-            if let Some(&j) = index.get(succ) {
-                edges.insert(j);
-            }
-        }
-        succs.push(edges.into_iter().collect());
+        machine.step(config, &mut store, &mut out);
+        let mut edges: Vec<usize> = out
+            .drain(..)
+            .filter_map(|succ| index.get(&succ).copied())
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        succs.push(edges);
 
         let call = program.call(M::call(config));
         let kind = match &call.kind {
@@ -290,12 +292,11 @@ fn build_graph<M: ThreadedMachine>(
                 child: tid.push(call.label, machine.spawn_bound()),
             },
             CallKind::Join { target, .. } => {
-                let mut tracked = RefTrackedStore::wrap(store);
-                let handles = machine.eval(target, config, &mut tracked);
+                let handles = machine.eval(target, config, &mut store);
                 let mut targets = BTreeSet::new();
                 let mut only_tids = !handles.is_empty();
-                for v in &handles {
-                    match M::as_tid(v) {
+                for id in handles.iter() {
+                    match M::as_tid(store.val(id)) {
                         Some(ret) => {
                             let (slot, ctx) = M::addr_parts(ret);
                             if matches!(slot, Slot::ThreadRet(_)) {
@@ -308,7 +309,7 @@ fn build_graph<M: ThreadedMachine>(
                     }
                 }
                 let must = if only_tids && targets.len() == 1 {
-                    targets.iter().next().cloned()
+                    targets.into_iter().next()
                 } else {
                     None
                 };
@@ -323,11 +324,10 @@ fn build_graph<M: ThreadedMachine>(
                 };
                 match (access, args.first()) {
                     (Some(kind), Some(target)) => {
-                        let mut tracked = RefTrackedStore::wrap(store);
                         let cells: Vec<(CellKey, AccessKind)> = machine
-                            .eval(target, config, &mut tracked)
+                            .eval(target, config, &mut store)
                             .iter()
-                            .filter_map(M::as_atom)
+                            .filter_map(|id| M::as_atom(store.val(id)))
                             .filter_map(|cell| {
                                 let (slot, ctx) = M::addr_parts(cell);
                                 match slot {
@@ -726,63 +726,52 @@ fn analyze_graph(graph: &ThreadGraph, analysis: &str) -> RaceReport {
     }
 }
 
-/// Copies the interned engine store into a value-level reference store.
-fn materialize_store<A, V, I>(entries: I) -> RefStore<A, V>
-where
-    A: Clone + Eq + std::hash::Hash,
-    V: Ord + Clone,
-    I: IntoIterator<Item = (A, BTreeSet<V>)>,
-{
-    let mut store = RefStore::new();
-    for (addr, values) in entries {
-        store.join(addr, values);
-    }
-    store
-}
-
 /// Runs the race detector over a saturated k-CFA fixpoint (from
 /// [`crate::kcfa::analyze_kcfa`] — field `fixpoint` — or any engine
 /// backend run on a [`KCfaMachine`] with the same `program` and `k`;
 /// all backends compute the identical fixpoint, so the report is
 /// engine-independent).
+///
+/// On a partial run (any non-completed [`crate::engine::Status`]) the
+/// report covers only the reached configurations and under-approximates
+/// the races of the full program; the CLI and `cfa serve` refuse to
+/// report on such runs.
 pub fn races_kcfa(
     program: &CpsProgram,
     k: usize,
     fixpoint: &FixpointResult<KConfig, AddrK, ValK>,
 ) -> RaceReport {
-    let mut machine = KCfaMachine::new(program, k);
-    let mut store = materialize_store(fixpoint.store.iter().map(|(a, vs)| (a.clone(), vs)));
-    let graph = build_graph(&mut machine, program, &fixpoint.configs, &mut store);
+    let graph = build_graph(&mut KCfaMachine::new(program, k), program, fixpoint);
     analyze_graph(&graph, &format!("k={k}"))
 }
 
 /// Runs the race detector over a saturated m-CFA fixpoint (from
 /// [`crate::flatcfa::analyze_mcfa`] — field `fixpoint` — or any engine
 /// backend run on a [`FlatCfaMachine`] with [`FlatPolicy::TopMFrames`]
-/// and the same `program` and `m`).
+/// and the same `program` and `m`). Partial runs under-approximate, as
+/// for [`races_kcfa`].
 pub fn races_mcfa(
     program: &CpsProgram,
     m: usize,
     fixpoint: &FixpointResult<MConfig, AddrM, ValM>,
 ) -> RaceReport {
     let mut machine = FlatCfaMachine::new(program, m, FlatPolicy::TopMFrames);
-    let mut store = materialize_store(fixpoint.store.iter().map(|(a, vs)| (a.clone(), vs)));
-    let graph = build_graph(&mut machine, program, &fixpoint.configs, &mut store);
+    let graph = build_graph(&mut machine, program, fixpoint);
     analyze_graph(&graph, &format!("m={m}"))
 }
 
 /// Runs the race detector over a saturated polynomial-k-CFA fixpoint
 /// (from [`crate::flatcfa::analyze_poly_kcfa`] — field `fixpoint` — or
 /// any engine backend run on a [`FlatCfaMachine`] with
-/// [`FlatPolicy::LastKCalls`] and the same `program` and `k`).
+/// [`FlatPolicy::LastKCalls`] and the same `program` and `k`). Partial
+/// runs under-approximate, as for [`races_kcfa`].
 pub fn races_poly_kcfa(
     program: &CpsProgram,
     k: usize,
     fixpoint: &FixpointResult<MConfig, AddrM, ValM>,
 ) -> RaceReport {
     let mut machine = FlatCfaMachine::new(program, k, FlatPolicy::LastKCalls);
-    let mut store = materialize_store(fixpoint.store.iter().map(|(a, vs)| (a.clone(), vs)));
-    let graph = build_graph(&mut machine, program, &fixpoint.configs, &mut store);
+    let graph = build_graph(&mut machine, program, fixpoint);
     analyze_graph(&graph, &format!("poly k={k}"))
 }
 
@@ -1081,6 +1070,44 @@ mod tests {
             );
             assert_eq!(k.races, m.races, "{src}");
             assert_eq!(k.races, pk.races, "{src}");
+        }
+    }
+
+    #[test]
+    fn partial_runs_report_an_under_approximation_of_reached_configs() {
+        // Every iteration-limited prefix of a golden racy program: the
+        // client returns, its graph has one node per reached
+        // configuration, and every edge it draws is an edge of the
+        // completed run's graph.
+        for src in [UNJOINED_READ, SIBLING_WRITES] {
+            let p = cfa_syntax::compile(src).unwrap();
+            let full = analyze_kcfa(&p, 1, EngineLimits::default()).fixpoint;
+            let full_graph = build_graph(&mut KCfaMachine::new(&p, 1), &p, &full);
+            let full_index: HashMap<&KConfig, usize> = full
+                .configs
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c, i))
+                .collect();
+            for limit in 1..full.iterations {
+                let partial = analyze_kcfa(&p, 1, EngineLimits::iterations(limit)).fixpoint;
+                assert!(!partial.status.is_complete(), "limit {limit}");
+                let report = races_kcfa(&p, 1, &partial);
+                assert!(report.races.len() <= races_kcfa(&p, 1, &full).races.len());
+                let graph = build_graph(&mut KCfaMachine::new(&p, 1), &p, &partial);
+                assert_eq!(graph.nodes.len(), partial.configs.len(), "limit {limit}");
+                assert_eq!(graph.entry, Some(0), "limit {limit}");
+                for (i, succs) in graph.succs.iter().enumerate() {
+                    let from = full_index[&partial.configs[i]];
+                    for &j in succs {
+                        let to = full_index[&partial.configs[j]];
+                        assert!(
+                            full_graph.succs[from].contains(&to),
+                            "limit {limit}: edge {i}->{j} is not in the completed graph"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -10,7 +10,12 @@
 //! the latter to measure the speedup).
 //!
 //! Nothing here should be used on new code paths: the clone-per-read
-//! [`RefStore`] is the cost model the new engine exists to beat.
+//! [`RefStore`] is the cost model the new engine exists to beat. No
+//! analysis client runs it (the race detector re-steps the interned
+//! fixpoint through [`crate::engine::AbstractMachine::step`]); its users
+//! are oracles and benchmarks: `cfa dump --backend reference`, the
+//! corpus differential runner, the test-support engine comparisons, the
+//! engine benchmark, the fault suite and the Featherweight Java crate.
 //!
 //! The oracle deliberately has **no delta interface**: a
 //! [`ReferenceMachine`] step always sees materialized full value sets
@@ -102,18 +107,7 @@ pub struct RefTrackedStore<'a, A, V> {
     grew: Vec<A>,
 }
 
-impl<'a, A: Eq + Hash + Clone, V: Ord + Clone> RefTrackedStore<'a, A, V> {
-    /// Wraps a store for a one-off step outside the engine loop — how
-    /// the race detector re-steps saturated configurations against the
-    /// final store. Recorded reads and growth are simply discarded.
-    pub(crate) fn wrap(store: &'a mut RefStore<A, V>) -> Self {
-        RefTrackedStore {
-            store,
-            reads: Vec::new(),
-            grew: Vec::new(),
-        }
-    }
-
+impl<A: Eq + Hash + Clone, V: Ord + Clone> RefTrackedStore<'_, A, V> {
     /// Reads the flow set at `addr`, recording the dependency.
     pub fn read(&mut self, addr: &A) -> BTreeSet<V> {
         self.reads.push(addr.clone());

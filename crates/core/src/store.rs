@@ -345,6 +345,11 @@ impl<A: Eq + Hash + Clone, V: Eq + Hash + Clone> AbsStore<A, V> {
         self.vals.get(id)
     }
 
+    /// The id of `value` if it has ever been interned.
+    pub fn lookup_val(&self, value: &V) -> Option<u32> {
+        self.vals.lookup(value)
+    }
+
     /// The current flow set at address id `addr_id` — an `Arc` clone,
     /// never a copy of the ids.
     pub fn flow_by_id(&self, addr_id: u32) -> Flow {
