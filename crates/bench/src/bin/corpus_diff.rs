@@ -1,11 +1,13 @@
 //! Corpus-scale differential runner: sweeps the workload suite plus a
 //! band of seeded generated programs (sequential *and* concurrent)
-//! through five engine configurations — the sequential engine and a
-//! pool tenant (one worker on a private store), each in both eval
-//! modes, plus the reference oracle — canonicalizes every fixpoint
-//! with `cfa_core::canon`, and diffs the normal forms. The two pooled
-//! configurations ride one long-lived [`AnalysisPool`], so programs
-//! overlap across pool tenants for free.
+//! through five engine configurations — the sequential engine run
+//! directly and as a pool tenant (the same loop, run in quanta), each
+//! in both eval modes, plus the reference oracle — canonicalizes every
+//! fixpoint with `cfa_core::canon`, and diffs the normal forms. The two
+//! pooled configurations (`pool semi-naive`, `pool full-reeval`) ride
+//! one long-lived [`AnalysisPool`], so programs overlap across pool
+//! tenants for free; their replay line runs the direct sequential
+//! engine, which is what a tenant runs.
 //!
 //! Any divergence is written as a replayable artifact directory
 //! (program source, both snapshots, and the exact `cfa dump` /
@@ -155,7 +157,7 @@ where
     let mut handles = Vec::new();
     for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
         handles.push((
-            format!("replicated {}", mode_flag(mode)),
+            format!("pool {}", mode_flag(mode)),
             pool.submit::<Replicated, M>(mk(), limits(), mode),
         ));
     }
@@ -211,9 +213,11 @@ fn write_artifact(
     std::fs::write(dir.join("program.scm"), &program.source).expect("write program");
     std::fs::write(dir.join("reference.json"), reference_json).expect("write reference snapshot");
     std::fs::write(dir.join("divergent.json"), divergent_json).expect("write divergent snapshot");
-    let mut parts = engine.splitn(2, ' ');
-    let backend = parts.next().unwrap_or("sequential");
-    let mode = parts.next().unwrap_or("semi-naive");
+    // A pool tenant runs the sequential loop, so both replay through
+    // the direct sequential engine.
+    let mode = engine
+        .split_once(' ')
+        .map_or("semi-naive", |(_, mode)| mode);
     let flag = analysis_flag(analysis);
     let seed_note = match program.seed {
         Some(seed) => format!(
@@ -228,7 +232,7 @@ fn write_artifact(
          Reproduce with:\n\n\
          ```\n\
          cfa dump {flag} --backend reference --out reference.json program.scm\n\
-         cfa dump {flag} --backend {backend} --mode {mode} --threads 1 \
+         cfa dump {flag} --backend sequential --mode {mode} \
          --out divergent.json program.scm\n\
          cfa compare reference.json divergent.json\n\
          ```\n\

@@ -1,6 +1,6 @@
 //! Pool throughput benchmark — the multi-tenant [`AnalysisPool`]
-//! driving the whole workload suite concurrently, each tenant on its
-//! private one-worker store.
+//! driving the whole workload suite concurrently, each tenant running
+//! the sequential engine's loop on its private store.
 //!
 //! Submits every suite program (plus the paper's worst-case family at
 //! n = 2/4/6) at k = 1 to one long-lived pool, several times over

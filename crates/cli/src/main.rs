@@ -629,8 +629,8 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 ///
 /// Every request is submitted to one long-lived [`AnalysisPool`]
 /// (sized by `CFA_POOL_THREADS` / `CFA_POOL_QUEUE_DEPTH`) as soon as
-/// its terminator is read, so queries analyze concurrently, each on a
-/// private one-worker store; responses
+/// its terminator is read, so queries analyze concurrently, each
+/// running the sequential engine's loop on a private store; responses
 /// are printed in request order, each as an `ok N ...` or `err N ...`
 /// header followed by the payload and a lone `.`:
 ///

@@ -48,6 +48,12 @@
 //! The engine is generic over the abstract machine — the CPS k-CFA,
 //! m-CFA / polynomial-k-CFA, and Featherweight Java analyzers all drive
 //! their transitions through it.
+//!
+//! It is the one single-worker engine: [`run_fixpoint_with`] runs the
+//! loop to the end, and every [`crate::pool`] tenant runs the same loop
+//! in bounded quanta. The replicated parallel workers keep the same
+//! per-configuration tables and evaluate through the same step; only
+//! N-worker runs go through [`crate::fabric`].
 
 use crate::fxhash::FxHashMap;
 use crate::store::{AbsStore, Flow, FlowSet, ValuePool};
@@ -265,14 +271,15 @@ struct LocalView<'a, A, V> {
 }
 
 impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V> {
-    fn new(store: &'a mut AbsStore<A, V>) -> Self {
+    /// Wraps `store` for a first-visit step with fresh buffers (seeding,
+    /// [`restep`]).
+    pub(crate) fn new(store: &'a mut AbsStore<A, V>) -> Self {
         Self::wrap(store, None, Vec::new(), Vec::new(), Vec::new())
     }
 
-    /// Wraps `store` reusing caller-provided scratch buffers (the
-    /// parallel engine's workers recycle theirs across steps, exactly
-    /// like [`run_fixpoint`] does).
-    pub(crate) fn wrap(
+    /// Wraps `store` reusing caller-provided scratch buffers
+    /// ([`ConfigTables::step`] recycles its own across steps).
+    fn wrap(
         store: &'a mut AbsStore<A, V>,
         baseline: Option<u64>,
         reads: Vec<u32>,
@@ -317,7 +324,7 @@ impl<'a, A: Eq + Hash + Clone, V: Eq + Hash + Clone + Ord> TrackedStore<'a, A, V
 
     /// Disassembles a local view into its tracking state: `(reads,
     /// grew, delta, delta_facts, delta_applies)`.
-    pub(crate) fn into_parts(self) -> (Vec<u32>, Vec<u32>, Vec<u32>, u64, u64) {
+    fn into_parts(self) -> (Vec<u32>, Vec<u32>, Vec<u32>, u64, u64) {
         match self.view {
             View::Local(v) => (
                 v.reads,
@@ -607,14 +614,17 @@ pub struct EngineLimits {
     /// pop-keyed cadence as the wall clock. `None` (the default) means
     /// the run is not externally cancellable.
     pub cancel: Option<CancelToken>,
-    /// Stall-watchdog threshold for the parallel fabric: if the pending
-    /// counter stays nonzero while *every* worker is idle for longer
-    /// than this, the run aborts with a diagnostic dump instead of
-    /// hanging forever ([`Status::Aborted`] with
+    /// Stall-watchdog threshold for N-worker runs on the parallel
+    /// fabric ([`crate::parallel::run_fixpoint_parallel_on`]): if the
+    /// pending counter stays nonzero while *every* worker is idle for
+    /// longer than this, the run aborts with a diagnostic dump instead
+    /// of hanging forever ([`Status::Aborted`] with
     /// [`Status::STALL_WATCHDOG`]). All-idle-with-work-pending is a
     /// terminal state — idle workers send no messages, so nothing can
     /// wake them — hence a true scheduler bug, never normal latency.
-    /// `None` disables the watchdog; the sequential engine ignores it.
+    /// `None` disables the watchdog. Single-worker runs — direct
+    /// sequential runs and every pool tenant — have no pending counter
+    /// to leak and ignore it.
     pub stall_timeout: Option<Duration>,
     /// Optional deterministic fault plan
     /// ([`crate::fabric::FaultPlan`]): injected panics, forced
@@ -878,53 +888,471 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Registers config `i` in the dependency lists of its just-recorded
-/// read set and prunes it from the lists of addresses it no longer
-/// reads — the sequential and parallel engines share this exact logic.
+/// The per-configuration scheduling tables of one store owner:
+/// configurations interned to dense indices, and per configuration its
+/// dependency registrations, the read set and store epoch of its last
+/// evaluation, plus the scratch one step recycles.
 ///
-/// `reads_buf` holds the step's raw reads; it is sorted and deduped
-/// here, swapped into `config_reads[i]` as the config's read set for
-/// the epoch gate, and hands back the previous read set as scratch.
-/// Without the pruning walk, dep lists are insert-only and growth of a
-/// dropped address re-enqueues the config for a guaranteed no-op.
-pub(crate) fn register_deps(
-    deps: &mut Vec<Vec<usize>>,
-    config_reads: &mut [Vec<u32>],
-    i: usize,
-    reads_buf: &mut Vec<u32>,
-) {
-    reads_buf.sort_unstable();
-    reads_buf.dedup();
-    // Prune dropped addresses: walk the previous read set (sorted,
-    // unique) against the new one and deregister this config from
-    // every address it no longer reads.
-    {
-        let old = &config_reads[i];
-        let mut ni = 0;
-        for &a in old {
-            while ni < reads_buf.len() && reads_buf[ni] < a {
-                ni += 1;
-            }
-            if ni < reads_buf.len() && reads_buf[ni] == a {
-                continue;
-            }
-            if let Some(dependents) = deps.get_mut(a as usize) {
-                if let Ok(pos) = dependents.binary_search(&i) {
-                    dependents.remove(pos);
+/// The sequential run ([`run_fixpoint_with`], pool tenants) and every
+/// replicated parallel worker ([`crate::parallel`]) keep one of these
+/// beside their [`AbsStore`]; [`ConfigTables::step`] is the half of an
+/// evaluation they share (step the machine, register dependencies),
+/// and each caller then schedules the successors and the dependents of
+/// [`ConfigTables::grown`] its own way.
+#[derive(Debug)]
+pub(crate) struct ConfigTables<C> {
+    /// Every interned configuration, in first-visit order.
+    pub(crate) configs: Vec<C>,
+    index: FxHashMap<C, usize>,
+    /// Dependents of each address, indexed by interned address id; each
+    /// list is sorted and duplicate-free.
+    deps: Vec<Vec<usize>>,
+    /// Per config: the (sorted, unique) read set of its last evaluation.
+    config_reads: Vec<Vec<u32>>,
+    /// Per config: the store epoch its last evaluation started at (None
+    /// = never evaluated).
+    last_run_epoch: Vec<Option<u64>>,
+    /// Successors of the last step, for the caller to drain.
+    pub(crate) successors: Vec<C>,
+    /// Step scratch recycled through [`TrackedStore::wrap`]; after a
+    /// step `grew` holds the grown address ids, sorted and unique.
+    reads: Vec<u32>,
+    grew: Vec<u32>,
+    delta: Vec<u32>,
+}
+
+impl<C: Clone + Eq + Hash> ConfigTables<C> {
+    pub(crate) fn new() -> Self {
+        ConfigTables {
+            configs: Vec::new(),
+            index: FxHashMap::default(),
+            deps: Vec::new(),
+            config_reads: Vec::new(),
+            last_run_epoch: Vec::new(),
+            successors: Vec::new(),
+            reads: Vec::new(),
+            grew: Vec::new(),
+            delta: Vec::new(),
+        }
+    }
+
+    /// Interns `cfg`, returning its index and whether it was new.
+    #[inline]
+    pub(crate) fn intern(&mut self, cfg: C) -> (usize, bool) {
+        if let Some(&i) = self.index.get(&cfg) {
+            return (i, false);
+        }
+        let i = self.configs.len();
+        self.configs.push(cfg.clone());
+        self.index.insert(cfg, i);
+        self.config_reads.push(Vec::new());
+        self.last_run_epoch.push(None);
+        (i, true)
+    }
+
+    /// The epoch gate: whether config `i` already ran and no address it
+    /// read has grown in `store` since, so re-evaluating it is a no-op.
+    #[inline]
+    pub(crate) fn gated<A: Eq + Hash + Clone, V: Eq + Hash + Clone>(
+        &self,
+        i: usize,
+        store: &AbsStore<A, V>,
+    ) -> bool {
+        match self.last_run_epoch[i] {
+            Some(epoch) => self.config_reads[i]
+                .iter()
+                .all(|&a| store.addr_epoch(a) <= epoch),
+            None => false,
+        }
+    }
+
+    /// Evaluates config `i` against `store`: steps `machine` (leaving
+    /// the successors in [`ConfigTables::successors`] and the grown
+    /// addresses in [`ConfigTables::grown`]), records the evaluation's
+    /// epoch, and registers its dependencies. Returns the step's
+    /// `(delta_facts, delta_applies)`.
+    ///
+    /// A panicking step unwinds out of here before anything about `i`
+    /// is recorded; the caller contains it and stops the run.
+    #[inline]
+    pub(crate) fn step<M: AbstractMachine<Config = C>>(
+        &mut self,
+        machine: &mut M,
+        store: &mut AbsStore<M::Addr, M::Val>,
+        i: usize,
+        mode: EvalMode,
+    ) -> (u64, u64) {
+        let epoch_at_start = store.epoch();
+        self.successors.clear();
+        self.reads.clear();
+        self.grew.clear();
+        // The baseline for semi-naive reads: the epoch this config's
+        // previous evaluation started at. FullReeval withholds it, so
+        // delta-aware machines degrade to the full product.
+        let baseline = match mode {
+            EvalMode::SemiNaive => self.last_run_epoch[i],
+            EvalMode::FullReeval => None,
+        };
+        let mut tracked = TrackedStore::wrap(
+            store,
+            baseline,
+            std::mem::take(&mut self.reads),
+            std::mem::take(&mut self.grew),
+            std::mem::take(&mut self.delta),
+        );
+        machine.step(&self.configs[i], &mut tracked, &mut self.successors);
+        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
+        (self.reads, self.grew, self.delta) = (reads, grew, delta);
+        self.last_run_epoch[i] = Some(epoch_at_start);
+        self.register_deps(i);
+        self.grew.sort_unstable();
+        self.grew.dedup();
+        (step_delta, step_applies)
+    }
+
+    /// The address ids the last [`ConfigTables::step`] grew, sorted and
+    /// unique.
+    #[inline]
+    pub(crate) fn grown(&self) -> &[u32] {
+        &self.grew
+    }
+
+    /// The configs whose last evaluation read address id `addr`.
+    #[inline]
+    pub(crate) fn dependents(&self, addr: u32) -> &[usize] {
+        self.deps.get(addr as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Registers config `i` in the dependency lists of its
+    /// just-recorded read set and prunes it from the lists of addresses
+    /// it no longer reads.
+    ///
+    /// The step's raw reads are sorted and deduped here and swapped into
+    /// `config_reads[i]` as the config's read set for the epoch gate;
+    /// the previous read set becomes the next step's scratch. Without
+    /// the pruning walk, dep lists are insert-only and growth of a
+    /// dropped address re-enqueues the config for a guaranteed no-op.
+    fn register_deps(&mut self, i: usize) {
+        let (deps, reads) = (&mut self.deps, &mut self.reads);
+        reads.sort_unstable();
+        reads.dedup();
+        // Prune dropped addresses: walk the previous read set (sorted,
+        // unique) against the new one and deregister this config from
+        // every address it no longer reads.
+        {
+            let old = &self.config_reads[i];
+            let mut ni = 0;
+            for &a in old {
+                while ni < reads.len() && reads[ni] < a {
+                    ni += 1;
+                }
+                if ni < reads.len() && reads[ni] == a {
+                    continue;
+                }
+                if let Some(dependents) = deps.get_mut(a as usize) {
+                    if let Ok(pos) = dependents.binary_search(&i) {
+                        dependents.remove(pos);
+                    }
                 }
             }
         }
-    }
-    for &a in reads_buf.iter() {
-        if deps.len() <= a as usize {
-            deps.resize_with(a as usize + 1, Vec::new);
+        for &a in reads.iter() {
+            if deps.len() <= a as usize {
+                deps.resize_with(a as usize + 1, Vec::new);
+            }
+            let dependents = &mut deps[a as usize];
+            if let Err(pos) = dependents.binary_search(&i) {
+                dependents.insert(pos, i);
+            }
         }
-        let dependents = &mut deps[a as usize];
-        if let Err(pos) = dependents.binary_search(&i) {
-            dependents.insert(pos, i);
+        std::mem::swap(&mut self.config_reads[i], reads);
+    }
+}
+
+/// A resumable single-worker fixpoint run: one store, its
+/// [`ConfigTables`], a FIFO worklist whose `queued` bitmap keeps every
+/// configuration in it at most once, the run's counters, its armed
+/// fault plan and its trace ring.
+///
+/// [`run_fixpoint_with`] activates one and runs it to the end. A pool
+/// tenant ([`crate::pool`]) runs it in bounded quanta
+/// ([`SequentialRun::run`] with a pop budget) on whichever pool thread
+/// picks it up, so a pooled fixpoint is this same loop, popping the
+/// same configurations in the same order.
+pub(crate) struct SequentialRun<M: AbstractMachine> {
+    store: AbsStore<M::Addr, M::Val>,
+    tables: ConfigTables<M::Config>,
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+    iterations: u64,
+    skipped: u64,
+    wakeups: u64,
+    delta_facts: u64,
+    delta_applies: u64,
+    /// Why the run stopped; `None` while it can still make progress.
+    status: Option<Status>,
+    limits: EngineLimits,
+    mode: EvalMode,
+    /// Fault-injection hooks (None in production runs — one dead branch
+    /// per pop), armed for exactly this run: per-run counters and a
+    /// per-run cancel token, so concurrent runs sharing cloned limits
+    /// never trip each other's clauses. The run counts as worker 0.
+    armed: Option<crate::fabric::ArmedFaultPlan>,
+    pub(crate) trace: crate::telemetry::TraceBuffer,
+    /// Set at activation: the time-budget clock and the trace origin.
+    start: Option<Instant>,
+}
+
+impl<M: AbstractMachine> SequentialRun<M> {
+    /// A run that has not started: no clock, nothing seeded.
+    pub(crate) fn new(limits: EngineLimits, mode: EvalMode) -> Self {
+        SequentialRun {
+            store: AbsStore::new(),
+            tables: ConfigTables::new(),
+            queue: VecDeque::new(),
+            queued: Vec::new(),
+            iterations: 0,
+            skipped: 0,
+            wakeups: 0,
+            delta_facts: 0,
+            delta_applies: 0,
+            status: None,
+            armed: limits
+                .fault_plan
+                .as_deref()
+                .map(crate::fabric::ArmedFaultPlan::new),
+            trace: crate::telemetry::TraceBuffer::new(limits.trace),
+            limits,
+            mode,
+            start: None,
         }
     }
-    std::mem::swap(&mut config_reads[i], reads_buf);
+
+    /// Starts the run's clock, seeds the store and queues the initial
+    /// configuration. A panicking seed is contained like a panicking
+    /// step: the run stops [`Status::Aborted`] on `<seed>`.
+    pub(crate) fn activate(&mut self, machine: &mut M) {
+        let start = Instant::now();
+        self.start = Some(start);
+        self.trace.set_origin(start);
+        let store = &mut self.store;
+        let seeded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            machine.seed(&mut TrackedStore::new(store));
+        }));
+        if let Err(payload) = seeded {
+            self.stop(Status::Aborted {
+                config: "<seed>".to_owned(),
+                message: panic_message(payload.as_ref()),
+            });
+            return;
+        }
+        let (root, _) = self.tables.intern(machine.initial());
+        self.queued.push(true);
+        self.queue.push_back(root);
+    }
+
+    /// Whether [`SequentialRun::activate`] has run.
+    pub(crate) fn is_active(&self) -> bool {
+        self.start.is_some()
+    }
+
+    /// Pops taken so far (evaluations + gate-skips).
+    pub(crate) fn pops(&self) -> u64 {
+        self.iterations + self.skipped
+    }
+
+    /// Records why the run stopped; the first status recorded wins.
+    pub(crate) fn stop(&mut self, status: Status) {
+        self.status.get_or_insert(status);
+    }
+
+    /// Runs at most `max_pops` pops of the worklist; returns whether
+    /// the run has stopped (quiescent, limit-stopped or aborted). A run
+    /// that returns `false` resumes exactly where it left off.
+    pub(crate) fn run(&mut self, machine: &mut M, max_pops: u64) -> bool {
+        if self.status.is_some() {
+            return true;
+        }
+        let start = self.start.expect("a run is activated before it runs");
+        // The hot loop works on locals: counters by value, the rest by
+        // reference, written back once when the quantum ends.
+        let mut iterations = self.iterations;
+        let mut skipped = self.skipped;
+        let mut wakeups = self.wakeups;
+        let mut delta_facts = self.delta_facts;
+        let mut delta_applies = self.delta_applies;
+        let SequentialRun {
+            store,
+            tables,
+            queue,
+            queued,
+            limits,
+            mode,
+            armed,
+            trace,
+            ..
+        } = self;
+        let mode = *mode;
+        let budget_end = (iterations + skipped).saturating_add(max_pops);
+
+        let stopped = loop {
+            if queue.is_empty() {
+                break Some(Status::Completed);
+            }
+            let pops = iterations + skipped;
+            if pops >= budget_end {
+                break None;
+            }
+            // Check limits *before* popping: a config that the budget
+            // cuts off stays queued, so `queued` accounting remains
+            // truthful and a resumed run would not lose it.
+            if iterations >= limits.max_iterations {
+                break Some(Status::IterationLimit);
+            }
+            // Checking the clock every pop would dominate small runs;
+            // every 256 is fine-grained enough for the harness
+            // timeouts. Keyed on *total pops* (iterations + skipped),
+            // not iterations alone: a long run of gate-skipped pops
+            // must still consult the clock, or it could overrun
+            // `time_budget` without ever noticing.
+            if pops.is_multiple_of(256) {
+                let external = limits
+                    .cancel
+                    .as_ref()
+                    .is_some_and(CancelToken::is_cancelled);
+                if external
+                    || armed
+                        .as_ref()
+                        .is_some_and(crate::fabric::ArmedFaultPlan::cancelled)
+                {
+                    break Some(Status::Cancelled);
+                }
+                if let Some(budget) = limits.time_budget {
+                    if start.elapsed() > budget {
+                        break Some(Status::TimedOut);
+                    }
+                }
+                // Store-bytes watermark: trim the delta logs when they
+                // outgrow the budget (O(1) — the store tracks log bytes
+                // incrementally). Baselines behind the trim degrade to
+                // full re-evaluation via the snapshot-loss fallback —
+                // sound, just less incremental.
+                if let Some(watermark) = limits.store_bytes_watermark {
+                    if store.delta_log_bytes() > watermark {
+                        store.trim_delta_logs();
+                    }
+                }
+            }
+            let i = queue.pop_front().expect("non-empty queue");
+            queued[i] = false;
+
+            if let Some(plan) = armed {
+                let faults = plan.on_pop();
+                if faults.trim {
+                    store.trim_delta_logs();
+                }
+                // `leak` targets the parallel fabric's pending counter;
+                // this loop has no termination protocol to violate, so
+                // that clause is a no-op here.
+            }
+
+            // Epoch gate: if this config already ran and none of the
+            // addresses it read has grown since, re-evaluation is a
+            // no-op. With pruned dependency lists and the `queued`
+            // bitmap every wakeup here implies growth, so this never
+            // fires for monotone machines; it stays as a cheap guard
+            // (in the fabric's dedup-free wake queues it is the
+            // conflict detector).
+            if tables.gated(i, store) {
+                skipped += 1;
+                trace.gate_skip(i as u64);
+                continue;
+            }
+            iterations += 1;
+
+            // Panic isolation: a panicking transfer function aborts the
+            // *run*, not the process. Whatever the step joined before
+            // panicking was legitimately derived (joins are idempotent
+            // and monotone), so the partial store stays sound — the
+            // result is simply a subset of the fixpoint.
+            trace.eval_start(i as u64);
+            let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(plan) = armed {
+                    plan.on_eval(0);
+                }
+                tables.step(machine, store, i, mode)
+            }));
+            trace.eval_end(i as u64);
+            match step {
+                Ok((step_delta, step_applies)) => {
+                    delta_facts += step_delta;
+                    delta_applies += step_applies;
+                }
+                Err(payload) => {
+                    break Some(Status::Aborted {
+                        config: format!("{:?}", tables.configs[i]),
+                        message: panic_message(payload.as_ref()),
+                    });
+                }
+            }
+
+            let mut successors = std::mem::take(&mut tables.successors);
+            for succ in successors.drain(..) {
+                let (j, fresh) = tables.intern(succ);
+                if fresh {
+                    queued.push(true);
+                    queue.push_back(j);
+                }
+            }
+            tables.successors = successors;
+
+            for &a in tables.grown() {
+                for &j in tables.dependents(a) {
+                    if !queued[j] {
+                        queued[j] = true;
+                        queue.push_back(j);
+                        wakeups += 1;
+                    }
+                }
+            }
+        };
+
+        self.iterations = iterations;
+        self.skipped = skipped;
+        self.wakeups = wakeups;
+        self.delta_facts = delta_facts;
+        self.delta_applies = delta_applies;
+        match stopped {
+            Some(status) => {
+                self.stop(status);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The run's result. `queue_wait` is the admission wait a pool
+    /// measured (zero for a direct run).
+    pub(crate) fn finish(self, queue_wait: Duration) -> FixpointResult<M::Config, M::Addr, M::Val> {
+        let sched = SchedStats {
+            store_resident_bytes: self.store.approx_bytes() as u64,
+            ..SchedStats::default()
+        };
+        FixpointResult {
+            configs: self.tables.configs,
+            store: self.store,
+            status: self.status.expect("a run finishes after it stopped"),
+            iterations: self.iterations,
+            skipped: self.skipped,
+            wakeups: self.wakeups,
+            delta_facts: self.delta_facts,
+            delta_applies: self.delta_applies,
+            sched,
+            elapsed: self.start.map_or(Duration::ZERO, |s| s.elapsed()),
+            queue_wait,
+            trace: crate::telemetry::RunTrace::from_buffers(vec![self.trace]),
+        }
+    }
 }
 
 /// Runs `machine` to its least fixed point (or until a limit fires),
@@ -952,251 +1380,19 @@ pub fn run_fixpoint<M: AbstractMachine>(
 /// [`EvalMode`]. The computed fixpoint is mode-independent (it is the
 /// unique least fixed point); the mode only changes how much work
 /// re-evaluations redo.
+///
+/// Every [`crate::pool::AnalysisPool`] tenant runs this same loop in
+/// bounded quanta, so a pooled run reaches the same result through the
+/// same pops.
 pub fn run_fixpoint_with<M: AbstractMachine>(
     machine: &mut M,
     limits: EngineLimits,
     mode: EvalMode,
 ) -> FixpointResult<M::Config, M::Addr, M::Val> {
-    let start = Instant::now();
-    let mut trace = crate::telemetry::TraceBuffer::new(limits.trace);
-    trace.set_origin(start);
-    let mut store: AbsStore<M::Addr, M::Val> = AbsStore::new();
-    let mut configs: Vec<M::Config> = Vec::new();
-    let mut index: FxHashMap<M::Config, usize> = FxHashMap::default();
-    // Dependents of each address, indexed by interned address id; each
-    // list is sorted and duplicate-free.
-    let mut deps: Vec<Vec<usize>> = Vec::new();
-    // Per config: the read set of its last evaluation and the store
-    // epoch that evaluation started at (None = never evaluated).
-    let mut config_reads: Vec<Vec<u32>> = Vec::new();
-    let mut last_run_epoch: Vec<Option<u64>> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut queued: Vec<bool> = Vec::new();
-
-    let intern = |cfg: M::Config,
-                  configs: &mut Vec<M::Config>,
-                  index: &mut FxHashMap<M::Config, usize>,
-                  config_reads: &mut Vec<Vec<u32>>,
-                  last_run_epoch: &mut Vec<Option<u64>>,
-                  queued: &mut Vec<bool>|
-     -> (usize, bool) {
-        if let Some(&i) = index.get(&cfg) {
-            (i, false)
-        } else {
-            let i = configs.len();
-            configs.push(cfg.clone());
-            index.insert(cfg, i);
-            config_reads.push(Vec::new());
-            last_run_epoch.push(None);
-            queued.push(false);
-            (i, true)
-        }
-    };
-
-    {
-        let mut tracked = TrackedStore::new(&mut store);
-        machine.seed(&mut tracked);
-    }
-    let (root, _) = intern(
-        machine.initial(),
-        &mut configs,
-        &mut index,
-        &mut config_reads,
-        &mut last_run_epoch,
-        &mut queued,
-    );
-    queue.push_back(root);
-    queued[root] = true;
-
-    let mut iterations: u64 = 0;
-    let mut skipped: u64 = 0;
-    let mut wakeups: u64 = 0;
-    let mut delta_facts: u64 = 0;
-    let mut delta_applies: u64 = 0;
-    let mut status = Status::Completed;
-    let mut successors: Vec<M::Config> = Vec::new();
-    // Reused scratch buffers for the per-step tracking vectors.
-    let (mut reads_buf, mut grew_buf, mut delta_buf) = (Vec::new(), Vec::new(), Vec::new());
-    // Fault-injection hooks (None in production runs — one dead branch
-    // per pop), armed for exactly this run: per-run counters and a
-    // per-run cancel token, so concurrent runs sharing cloned limits
-    // never trip each other's clauses. The sequential engine counts as
-    // worker 0.
-    let armed = limits
-        .fault_plan
-        .as_deref()
-        .map(crate::fabric::ArmedFaultPlan::new);
-
-    while let Some(&_head) = queue.front() {
-        // Check limits *before* popping: a config that the budget cuts
-        // off stays queued, so `queued` accounting remains truthful and
-        // a resumed run would not lose it.
-        if iterations >= limits.max_iterations {
-            status = Status::IterationLimit;
-            break;
-        }
-        // Checking the clock every pop would dominate small runs; every
-        // 256 is fine-grained enough for the harness timeouts. Keyed on
-        // *total pops* (iterations + skipped), not iterations alone: a
-        // long run of gate-skipped pops must still consult the clock, or
-        // it could overrun `time_budget` without ever noticing.
-        if (iterations + skipped).is_multiple_of(256) {
-            let external = limits
-                .cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled);
-            if external
-                || armed
-                    .as_ref()
-                    .is_some_and(crate::fabric::ArmedFaultPlan::cancelled)
-            {
-                status = Status::Cancelled;
-                break;
-            }
-            if let Some(budget) = limits.time_budget {
-                if start.elapsed() > budget {
-                    status = Status::TimedOut;
-                    break;
-                }
-            }
-            // Store-bytes watermark: trim the delta logs when they
-            // outgrow the budget (O(1) — the store tracks log bytes
-            // incrementally). Baselines behind the trim degrade to
-            // full re-evaluation via the snapshot-loss fallback —
-            // sound, just less incremental.
-            if let Some(watermark) = limits.store_bytes_watermark {
-                if store.delta_log_bytes() > watermark {
-                    store.trim_delta_logs();
-                }
-            }
-        }
-        let i = queue.pop_front().expect("peeked element present");
-        queued[i] = false;
-
-        if let Some(plan) = &armed {
-            let faults = plan.on_pop();
-            if faults.trim {
-                store.trim_delta_logs();
-            }
-            // `leak` targets the parallel fabric's pending counter;
-            // the sequential engine has no termination protocol to
-            // violate, so that clause is a no-op here.
-        }
-
-        // Epoch gate: if this config already ran and none of the
-        // addresses it read has grown since, re-evaluation is a no-op.
-        // With pruned dependency lists every sequential wakeup implies
-        // growth, so this never fires for monotone machines here; it
-        // stays as a cheap guard (and because the parallel workers share
-        // the same pop discipline, where it is the conflict detector).
-        if let Some(epoch) = last_run_epoch[i] {
-            if config_reads[i]
-                .iter()
-                .all(|&a| store.addr_epoch(a) <= epoch)
-            {
-                skipped += 1;
-                trace.gate_skip(i as u64);
-                continue;
-            }
-        }
-
-        let epoch_at_start = store.epoch();
-        iterations += 1;
-
-        let config = configs[i].clone();
-        successors.clear();
-        reads_buf.clear();
-        grew_buf.clear();
-        // The baseline for semi-naive reads: the epoch this config's
-        // previous evaluation started at. FullReeval withholds it, so
-        // delta-aware machines degrade to the full product.
-        let baseline = match mode {
-            EvalMode::SemiNaive => last_run_epoch[i],
-            EvalMode::FullReeval => None,
-        };
-        let mut tracked = TrackedStore::wrap(
-            &mut store,
-            baseline,
-            std::mem::take(&mut reads_buf),
-            std::mem::take(&mut grew_buf),
-            std::mem::take(&mut delta_buf),
-        );
-        // Panic isolation: a panicking transfer function aborts the
-        // *run*, not the process. Whatever the step joined before
-        // panicking was legitimately derived (joins are idempotent and
-        // monotone), so the partial store stays sound — the result is
-        // simply a subset of the fixpoint.
-        trace.eval_start(i as u64);
-        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(plan) = &armed {
-                plan.on_eval(0);
-            }
-            machine.step(&config, &mut tracked, &mut successors)
-        }));
-        trace.eval_end(i as u64);
-        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
-        (reads_buf, grew_buf, delta_buf) = (reads, grew, delta);
-        delta_facts += step_delta;
-        delta_applies += step_applies;
-        if let Err(payload) = step {
-            status = Status::Aborted {
-                config: format!("{config:?}"),
-                message: panic_message(payload.as_ref()),
-            };
-            break;
-        }
-        last_run_epoch[i] = Some(epoch_at_start);
-
-        register_deps(&mut deps, &mut config_reads, i, &mut reads_buf);
-
-        for succ in successors.drain(..) {
-            let (j, fresh) = intern(
-                succ,
-                &mut configs,
-                &mut index,
-                &mut config_reads,
-                &mut last_run_epoch,
-                &mut queued,
-            );
-            if fresh && !queued[j] {
-                queued[j] = true;
-                queue.push_back(j);
-            }
-        }
-
-        grew_buf.sort_unstable();
-        grew_buf.dedup();
-        for &a in &grew_buf {
-            if let Some(dependents) = deps.get(a as usize) {
-                for &j in dependents {
-                    if !queued[j] {
-                        queued[j] = true;
-                        queue.push_back(j);
-                        wakeups += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    let sched = SchedStats {
-        store_resident_bytes: store.approx_bytes() as u64,
-        ..SchedStats::default()
-    };
-    FixpointResult {
-        configs,
-        store,
-        status,
-        iterations,
-        skipped,
-        wakeups,
-        delta_facts,
-        delta_applies,
-        sched,
-        elapsed: start.elapsed(),
-        queue_wait: Duration::ZERO,
-        trace: crate::telemetry::RunTrace::from_buffers(vec![trace]),
-    }
+    let mut run = SequentialRun::new(limits, mode);
+    run.activate(machine);
+    run.run(machine, u64::MAX);
+    run.finish(Duration::ZERO)
 }
 
 #[cfg(test)]

@@ -234,7 +234,7 @@ impl FaultPlan {
 /// the run-private pop/eval counters they key on and the run-private
 /// cancel token the `cancel_at_pop` clause flips.
 ///
-/// Every engine entry point (sequential, parallel drive, pool tenant)
+/// Every run (sequential — direct or pooled — and parallel drive)
 /// creates one of these at run entry — never shared across runs — so
 /// two concurrent fixpoints cloned from the same [`EngineLimits`]
 /// count independently and cannot trigger (or cancel) each other.
@@ -380,7 +380,7 @@ impl<C: Clone + Eq + Hash, M> Fabric<C, M> {
 
     /// Records the limit that stopped the run (first writer wins) and
     /// raises the done flag.
-    pub(crate) fn stop(&self, status: Status) {
+    fn stop(&self, status: Status) {
         let mut slot = self.stop_status.lock_recovered();
         slot.get_or_insert(status);
         self.done.store(true, Ordering::Release);
@@ -557,120 +557,23 @@ pub struct WorkerCtx<'f, C, M> {
     was_idle: bool,
 }
 
-/// The persistent half of a [`WorkerCtx`], detached from the fabric
-/// borrow: the private wake queue plus every per-worker counter.
-///
-/// A worker that runs to quiescence on one thread never needs this —
-/// [`WorkerCtx`] lives for the whole loop. The analysis pool does: a
-/// pool tenant runs in bounded quanta on whichever pool worker picks it
-/// up next, so between quanta its loop state is parked here
-/// ([`WorkerCtx::suspend`]) and rebound to the fabric on the next visit
-/// ([`WorkerCtx::resume`]).
-#[derive(Debug, Default)]
-pub(crate) struct WorkerState {
-    wakes: VecDeque<usize>,
-    wakeups: u64,
-    delta_facts: u64,
-    delta_applies: u64,
-    sched: SchedStats,
-    pub(crate) trace: TraceBuffer,
-    depth_sum: u64,
-    pub(crate) iterations: u64,
-    pub(crate) skipped: u64,
-    pops: u64,
-    was_idle: bool,
-}
-
-/// Everything a finished worker contributes to its run's totals — one
-/// named field per counter, so a result-assembly site that forgets a
-/// field fails to compile instead of silently dropping it (the bug
-/// class the tuple this replaced invited).
-#[derive(Debug, Default)]
-pub(crate) struct WorkerTotals {
-    pub(crate) iterations: u64,
-    pub(crate) skipped: u64,
-    pub(crate) wakeups: u64,
-    pub(crate) delta_facts: u64,
-    pub(crate) delta_applies: u64,
-    pub(crate) sched: SchedStats,
-    pub(crate) trace: TraceBuffer,
-}
-
-impl WorkerState {
-    /// Fresh state carrying `trace` — how a pool tenant installs its
-    /// ring before the first resume.
-    pub(crate) fn with_trace(trace: TraceBuffer) -> Self {
-        WorkerState {
-            trace,
-            ..WorkerState::default()
-        }
-    }
-
-    /// Consumes the parked state into the totals a finished run
-    /// reports.
-    pub(crate) fn into_totals(self) -> WorkerTotals {
-        WorkerTotals {
-            iterations: self.iterations,
-            skipped: self.skipped,
-            wakeups: self.wakeups,
-            delta_facts: self.delta_facts,
-            delta_applies: self.delta_applies,
-            sched: self.sched,
-            trace: self.trace,
-        }
-    }
-}
-
 impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
     fn new(id: usize, fabric: &'f Fabric<C, M>, mode: EvalMode, trace: TraceBuffer) -> Self {
-        let state = WorkerState {
-            trace,
-            ..WorkerState::default()
-        };
-        Self::resume(id, fabric, mode, state)
-    }
-
-    /// Rebinds parked worker state to `fabric` for the next run quantum
-    /// (the inverse of [`WorkerCtx::suspend`]).
-    pub(crate) fn resume(
-        id: usize,
-        fabric: &'f Fabric<C, M>,
-        mode: EvalMode,
-        state: WorkerState,
-    ) -> Self {
         WorkerCtx {
             id,
             fabric,
             mode,
-            wakes: state.wakes,
-            wakeups: state.wakeups,
-            delta_facts: state.delta_facts,
-            delta_applies: state.delta_applies,
-            sched: state.sched,
-            trace: state.trace,
-            depth_sum: state.depth_sum,
-            iterations: state.iterations,
-            skipped: state.skipped,
-            pops: state.pops,
-            was_idle: state.was_idle,
-        }
-    }
-
-    /// Parks this worker's loop state, releasing the fabric borrow
-    /// until the next [`WorkerCtx::resume`].
-    pub(crate) fn suspend(self) -> WorkerState {
-        WorkerState {
-            wakes: self.wakes,
-            wakeups: self.wakeups,
-            delta_facts: self.delta_facts,
-            delta_applies: self.delta_applies,
-            sched: self.sched,
-            trace: self.trace,
-            depth_sum: self.depth_sum,
-            iterations: self.iterations,
-            skipped: self.skipped,
-            pops: self.pops,
-            was_idle: self.was_idle,
+            wakes: VecDeque::new(),
+            wakeups: 0,
+            delta_facts: 0,
+            delta_applies: 0,
+            sched: SchedStats::default(),
+            trace,
+            depth_sum: 0,
+            iterations: 0,
+            skipped: 0,
+            pops: 0,
+            was_idle: false,
         }
     }
 
@@ -687,12 +590,6 @@ impl<'f, C: Clone + Eq + Hash, M> WorkerCtx<'f, C, M> {
     /// sharded backend).
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// Total pops this worker has taken (evaluations + gate-skips) —
-    /// the analysis pool meters its bounded quanta on this.
-    pub(crate) fn pops(&self) -> u64 {
-        self.pops
     }
 
     /// Total workers in the run.
@@ -975,10 +872,7 @@ fn run_worker<B: BackendWorker>(
 /// Seeds `backend`'s store view under `catch_unwind`: a panicking seed
 /// records [`Status::Aborted`] exactly like a panicking evaluation.
 /// Runs once per worker before its first turn.
-pub(crate) fn seed_worker<B: BackendWorker>(
-    backend: &mut B,
-    ctx: &mut WorkerCtx<'_, B::Config, B::Msg>,
-) {
+fn seed_worker<B: BackendWorker>(backend: &mut B, ctx: &mut WorkerCtx<'_, B::Config, B::Msg>) {
     if let Err(payload) =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.seed(ctx)))
     {
@@ -991,21 +885,19 @@ pub(crate) fn seed_worker<B: BackendWorker>(
 
 /// What one [`worker_turn`] did.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub(crate) enum Turn {
+enum Turn {
     /// Delivered messages or took a pop — call again immediately.
     Worked,
-    /// Nothing to do but the run is still pending — back off (or, in a
-    /// pool, yield this tenant's slot) and call again later.
+    /// Nothing to do but the run is still pending — back off and call
+    /// again later.
     Idle,
     /// The run is over: quiescent, limit-stopped, or aborted.
     Stopped,
 }
 
-/// One turn of the worker loop: the unit [`run_worker`] iterates to
-/// quiescence and the analysis pool replays in bounded quanta. All
-/// loop state lives in `ctx`, so a turn is resumable across threads
-/// (suspend the ctx to a [`WorkerState`], resume it elsewhere).
-pub(crate) fn worker_turn<B: BackendWorker>(
+/// One turn of the worker loop, the unit [`run_worker`] iterates to
+/// quiescence. All loop state lives in `ctx`.
+fn worker_turn<B: BackendWorker>(
     backend: &mut B,
     ctx: &mut WorkerCtx<'_, B::Config, B::Msg>,
     limits: &EngineLimits,

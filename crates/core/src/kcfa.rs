@@ -1152,11 +1152,11 @@ impl KcfaJob {
     }
 }
 
-/// Submits a k-CFA analysis of `program` (context depth `k`) to `pool`
-/// under store backend `B`, returning immediately. The pool drives it
-/// to the same fixpoint [`analyze_kcfa`] computes — the fixed point of
-/// a monotone transfer function is unique — while time-slicing fairly
-/// against the pool's other tenants.
+/// Submits a k-CFA analysis of `program` (context depth `k`) to
+/// `pool`, returning immediately (`B`: see
+/// [`crate::pool::PoolBackend`]). The pool drives it to the same
+/// fixpoint [`analyze_kcfa`] computes, through the same sequential
+/// loop, while time-slicing fairly against the pool's other tenants.
 pub fn submit_kcfa<B: crate::pool::PoolBackend>(
     pool: &crate::pool::AnalysisPool,
     program: Arc<CpsProgram>,

@@ -62,19 +62,21 @@
 //! is still assembled by id-remapping union ([`AbsStore::merge_from`])
 //! as a defensive cross-check.
 //!
-//! # One worker: the pool tenant
+//! # Shared with the sequential engine
 //!
-//! At one worker there is nothing to broadcast and nothing to union:
-//! the replica is a private store. That is the layout of every
-//! [`crate::pool::AnalysisPool`] tenant ([`Replicated`]'s
-//! [`crate::pool::PoolBackend`] impl), which hands the store over as
-//! the result instead of copying it.
+//! A replicated worker keeps the sequential run's per-configuration
+//! tables (`engine::ConfigTables`: interning, epoch gate, dependency
+//! registration) and evaluates through the same
+//! `ConfigTables::step`; only successor dedup, wakeups and the fact
+//! broadcast go through the fabric. Pool tenants do not run here: a
+//! tenant is the sequential loop itself ([`crate::pool`]), and
+//! [`Replicated`]'s [`crate::pool::PoolBackend`] impl only keeps the
+//! `submit_*::<Replicated>` spelling compiling.
 
 use crate::engine::{
-    AbstractMachine, EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore,
+    AbstractMachine, ConfigTables, EngineLimits, EvalMode, FixpointResult, SchedStats, TrackedStore,
 };
 use crate::fabric::{self, Fabric, WorkerCtx};
-use crate::fxhash::FxHashMap;
 use crate::store::AbsStore;
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,24 +109,15 @@ type FactBatch<A, V> = Vec<(A, Vec<V>)>;
 type Batch<M> = Arc<FactBatch<<M as AbstractMachine>::Addr, <M as AbstractMachine>::Val>>;
 
 /// The store-specific half of a replicated worker: a full store replica
-/// plus the same scheduling tables the sequential engine keeps
-/// (configs, dependency lists with pruning, read sets, last-run
-/// epochs). The loop that drives it is [`crate::fabric`].
+/// plus the sequential run's per-configuration tables
+/// ([`ConfigTables`]). The loop that drives it is [`crate::fabric`].
 struct ReplicatedWorker<M: AbstractMachine> {
     machine: M,
     store: AbsStore<M::Addr, M::Val>,
-    configs: Vec<M::Config>,
-    index: FxHashMap<M::Config, usize>,
-    deps: Vec<Vec<usize>>,
-    config_reads: Vec<Vec<u32>>,
-    last_run_epoch: Vec<Option<u64>>,
+    tables: ConfigTables<M::Config>,
     /// Scratch for [`ReplicatedWorker::wake_dependents`], recycled
     /// across calls.
     woken: Vec<usize>,
-    /// Successor scratch, recycled across evaluations.
-    successors: Vec<M::Config>,
-    /// Tracking-buffer scratch (reads, grew, delta), recycled likewise.
-    bufs: (Vec<u32>, Vec<u32>, Vec<u32>),
 }
 
 impl<M> ReplicatedWorker<M>
@@ -138,14 +131,8 @@ where
         ReplicatedWorker {
             machine,
             store: AbsStore::new(),
-            configs: Vec::new(),
-            index: FxHashMap::default(),
-            deps: Vec::new(),
-            config_reads: Vec::new(),
-            last_run_epoch: Vec::new(),
+            tables: ConfigTables::new(),
             woken: Vec::new(),
-            successors: Vec::new(),
-            bufs: Default::default(),
         }
     }
 
@@ -153,13 +140,15 @@ where
     /// ids. Wakeups are pinned here — the dependents' scheduling state
     /// lives in this replica — and carry no is-queued dedup: the epoch
     /// gate disarms duplicates at pop time.
-    fn wake_dependents(&mut self, grown: &[u32], ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
-        let woken = &mut self.woken;
+    fn wake_dependents(
+        tables: &ConfigTables<M::Config>,
+        woken: &mut Vec<usize>,
+        grown: &[u32],
+        ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>,
+    ) {
         woken.clear();
         for &a in grown {
-            if let Some(dependents) = self.deps.get(a as usize) {
-                woken.extend_from_slice(dependents);
-            }
+            woken.extend_from_slice(tables.dependents(a));
         }
         woken.sort_unstable();
         woken.dedup();
@@ -175,8 +164,9 @@ where
     /// Rows (not deltas) keep the wire format independent of join
     /// internals; receiving joins dedup for free. The batch is built
     /// once and shared behind an `Arc` — receivers read it in place.
-    fn broadcast(&self, grown: &[u32], ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
+    fn broadcast(&self, ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
         let n = ctx.threads();
+        let grown = self.tables.grown();
         if n == 1 || grown.is_empty() {
             return;
         }
@@ -217,83 +207,38 @@ where
     fn seed(&mut self, _ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
         // Every replica is seeded identically, so seed facts need no
         // broadcast.
-        let mut tracked =
-            TrackedStore::wrap(&mut self.store, None, Vec::new(), Vec::new(), Vec::new());
-        self.machine.seed(&mut tracked);
+        self.machine.seed(&mut TrackedStore::new(&mut self.store));
     }
 
     fn intern(&mut self, cfg: M::Config) -> usize {
-        if let Some(&i) = self.index.get(&cfg) {
-            return i;
-        }
-        let i = self.configs.len();
-        self.configs.push(cfg.clone());
-        self.index.insert(cfg, i);
-        self.config_reads.push(Vec::new());
-        self.last_run_epoch.push(None);
-        i
+        self.tables.intern(cfg).0
     }
 
     fn gated(&self, i: usize) -> bool {
-        match self.last_run_epoch[i] {
-            Some(epoch) => self.config_reads[i]
-                .iter()
-                .all(|&a| self.store.addr_epoch(a) <= epoch),
-            None => false,
-        }
+        self.tables.gated(i, &self.store)
     }
 
-    /// Evaluates one task (by local index): step, dependency
-    /// registration with pruning, successor dedup, local wakeups, fact
-    /// broadcast. Mirrors one iteration of
-    /// [`crate::engine::run_fixpoint`].
+    /// Evaluates one task (by local index): the sequential run's step
+    /// ([`ConfigTables::step`]), then successor dedup through the
+    /// fabric, local wakeups and the fact broadcast.
     fn evaluate(&mut self, i: usize, ctx: &mut WorkerCtx<'_, M::Config, Batch<M>>) {
-        let epoch_at_start = self.store.epoch();
-        let config = self.configs[i].clone();
-        self.successors.clear();
-        let (reads_buf, grew_buf, delta_buf) = &mut self.bufs;
-        reads_buf.clear();
-        grew_buf.clear();
         // The semi-naive baseline works per replica: this config is
         // pinned here, its last evaluation ran against this store, and
         // facts merged from other replicas land in this store's delta
         // logs — so the epochs line up exactly as in the sequential
         // engine.
-        let baseline = match ctx.mode() {
-            EvalMode::SemiNaive => self.last_run_epoch[i],
-            EvalMode::FullReeval => None,
-        };
-        let mut tracked = TrackedStore::wrap(
-            &mut self.store,
-            baseline,
-            std::mem::take(reads_buf),
-            std::mem::take(grew_buf),
-            std::mem::take(delta_buf),
-        );
-        self.machine
-            .step(&config, &mut tracked, &mut self.successors);
-        let (reads, grew, delta, step_delta, step_applies) = tracked.into_parts();
-        self.bufs = (reads, grew, delta);
+        let (step_delta, step_applies) =
+            self.tables
+                .step(&mut self.machine, &mut self.store, i, ctx.mode());
         ctx.delta_facts += step_delta;
         ctx.delta_applies += step_applies;
-        self.last_run_epoch[i] = Some(epoch_at_start);
-
-        // Dependency registration with stale-dep pruning — the shared
-        // logic of both engines.
-        crate::engine::register_deps(&mut self.deps, &mut self.config_reads, i, &mut self.bufs.0);
-
-        ctx.submit_fresh(&mut self.successors);
-
-        let mut grew = std::mem::take(&mut self.bufs.1);
-        grew.sort_unstable();
-        grew.dedup();
-        self.wake_dependents(&grew, ctx);
-        self.broadcast(&grew, ctx);
-        self.bufs.1 = grew;
+        ctx.submit_fresh(&mut self.tables.successors);
+        Self::wake_dependents(&self.tables, &mut self.woken, self.tables.grown(), ctx);
+        self.broadcast(ctx);
     }
 
     fn describe(&self, i: usize) -> String {
-        format!("{:?}", self.configs[i])
+        format!("{:?}", self.tables.configs[i])
     }
 
     /// Merges one delivered fact batch into the replica and wakes the
@@ -317,7 +262,7 @@ where
         }
         grown.sort_unstable();
         grown.dedup();
-        self.wake_dependents(&grown, ctx);
+        Self::wake_dependents(&self.tables, &mut self.woken, &grown, ctx);
     }
 
     fn enforce_watermark(&mut self, watermark: usize, threads: usize) {
@@ -454,8 +399,7 @@ pub trait StoreBackend {
 }
 
 /// Per-worker store replicas + all-to-all fact broadcast (the backend
-/// implemented by this module); at one worker, a private store — the
-/// pool tenant layout.
+/// implemented by this module).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Replicated;
 
@@ -478,56 +422,7 @@ impl StoreBackend for Replicated {
     }
 }
 
-impl crate::pool::PoolBackend for Replicated {
-    fn tenant<M>(
-        mut machine: M,
-        limits: EngineLimits,
-        mode: EvalMode,
-        deposit: Box<dyn FnOnce(crate::pool::PoolRun<M>) + Send>,
-    ) -> Box<dyn crate::pool::TenantRun>
-    where
-        M: ParallelMachine + 'static,
-        M::Config: Send + Sync + 'static,
-        M::Addr: Send + Sync + Ord + 'static,
-        M::Val: Send + Sync + 'static,
-    {
-        let fabric: Fabric<M::Config, Batch<M>> = Fabric::new(1);
-        fabric.submit_root(machine.initial());
-        let backend = ReplicatedWorker::new(machine.fork());
-        // One worker owns the only store there is, so the tenant hands
-        // it over as the result — no union, no copy — and absorbs the
-        // worker machine, as a solo run does.
-        let assemble =
-            move |backend: ReplicatedWorker<M>, status, configs, totals: crate::pool::RunTotals| {
-                let ReplicatedWorker {
-                    machine: worker,
-                    store,
-                    ..
-                } = backend;
-                machine.absorb(worker);
-                crate::pool::PoolRun {
-                    machine,
-                    fixpoint: FixpointResult {
-                        configs,
-                        store,
-                        status,
-                        iterations: totals.iterations,
-                        skipped: totals.skipped,
-                        wakeups: totals.wakeups,
-                        delta_facts: totals.delta_facts,
-                        delta_applies: totals.delta_applies,
-                        sched: totals.sched,
-                        elapsed: totals.elapsed,
-                        queue_wait: totals.queue_wait,
-                        trace: totals.trace,
-                    },
-                }
-            };
-        Box::new(crate::pool::SoloTenant::new(
-            fabric, backend, limits, mode, assemble, deposit,
-        ))
-    }
-}
+impl crate::pool::PoolBackend for Replicated {}
 
 /// One shared, address-sharded store ([`crate::shardstore`]).
 #[derive(Copy, Clone, Debug, Default)]

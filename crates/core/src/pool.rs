@@ -13,16 +13,15 @@
 //!
 //! # Per-run state split
 //!
-//! Everything that used to be "the run" — pending counter, dedup
-//! seen-set, status, stop flag, watchdog meters — lives in the
-//! tenant's own private [`Fabric`]; the pool shares only threads.
-//! A tenant is a parked `fabric::WorkerState` plus its backend
-//! worker: whichever pool thread picks the tenant up next resumes the
-//! state against the tenant's fabric (`WorkerCtx::resume`), runs a
-//! bounded quantum of `fabric::worker_turn`s, and parks it again. This is
-//! exactly the loop the dedicated engines run — one turn is one unit
-//! of either — so a pooled fixpoint is the same computation as a solo
-//! run and reaches the identical (unique) fixpoint.
+//! Everything that is "the run" — store, configuration tables,
+//! worklist, counters, status, armed fault plan, trace ring — lives in
+//! the tenant's own resumable sequential run (the loop
+//! [`crate::engine::run_fixpoint_with`] runs to the end); the pool
+//! shares only threads. Whichever pool thread picks the tenant up next
+//! runs a bounded quantum of that loop's pops and hands it back. A
+//! pooled fixpoint is therefore the direct sequential run, popping the
+//! same configurations in the same order, with the same counters
+//! (`tests/pool.rs` checks this with one-pop quanta).
 //!
 //! # Fairness
 //!
@@ -34,15 +33,11 @@
 //!
 //! # Isolation
 //!
-//! * **Panics** — `seed`/`evaluate` run under the fabric's
-//!   `catch_unwind`; a panicking tenant aborts *itself*
-//!   ([`Status::Aborted`]) and its pool-mates never notice.
-//! * **Stalls** — the stall watchdog reads per-fabric meters, and each
-//!   tenant has its own fabric, so a tenant that leaks pending work
-//!   aborts alone; an idle-looking pool thread busy on another tenant
-//!   can never trip it.
-//! * **Fault plans** — each tenant arms its own [`fabric::FaultPlan`]
-//!   counters (`fabric::ArmedFaultPlan`), so a plan inherited through
+//! * **Panics** — the machine's `seed` and `step` run under the
+//!   sequential loop's `catch_unwind`; a panicking tenant aborts
+//!   *itself* ([`Status::Aborted`]) and its pool-mates never notice.
+//! * **Fault plans** — each tenant arms its own
+//!   [`crate::fabric::FaultPlan`] counters, so a plan inherited through
 //!   cloned [`EngineLimits`] fires only in the run it was planned
 //!   against.
 //! * **Budgets** — `time_budget` is measured from the tenant's first
@@ -68,11 +63,10 @@
 //! ```
 
 use crate::engine::{
-    AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult, SchedStats, Status,
+    AbstractMachine, CancelToken, EngineLimits, EvalMode, FixpointResult, SequentialRun, Status,
 };
-use crate::fabric::{self, ArmedFaultPlan, BackendWorker, Fabric, LockRecovered, Turn, WorkerCtx};
+use crate::fabric::LockRecovered;
 use crate::parallel::{ParallelMachine, StoreBackend};
-use crate::telemetry::{RunTrace, TraceBuffer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -124,27 +118,19 @@ impl PoolConfig {
 }
 
 /// What one scheduling quantum of a tenant did.
-#[doc(hidden)]
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Quantum {
-    /// Took work; requeue for another quantum.
+enum Quantum {
+    /// Spent its pop budget with work left; requeue for another quantum.
     Progress,
-    /// Nothing runnable but the run is still pending (e.g. awaiting
-    /// its stall watchdog); requeue, but don't spin hot on it.
-    Idle,
     /// The run is over (quiescent, limit-stopped, or aborted): call
     /// [`TenantRun::finish`].
     Finished,
 }
 
 /// One admitted analysis, type-erased: the pool schedules these without
-/// knowing the machine, the store backend, or the result type.
-///
-/// Not part of the supported API — implemented by the store backends
-/// (via [`PoolBackend`]) and consumed by the pool's scheduler.
-#[doc(hidden)]
-pub trait TenantRun: Send {
-    /// Runs up to `max_pops` pops of this tenant's worker loop.
+/// knowing the machine or the result type.
+trait TenantRun: Send {
+    /// Runs up to `max_pops` pops of this tenant's worklist.
     fn quantum(&mut self, max_pops: u64) -> Quantum;
 
     /// Whether the tenant's external [`CancelToken`] has been flipped
@@ -164,9 +150,8 @@ pub trait TenantRun: Send {
 /// A finished pooled run: the machine (with its accumulated metric
 /// state) plus the raw fixpoint.
 pub struct PoolRun<M: AbstractMachine> {
-    /// The machine the tenant drove, with every worker-side metric
-    /// absorbed — what `build_metrics`-style summaries
-    /// read.
+    /// The machine the tenant drove, with its accumulated metric state
+    /// — what `build_metrics`-style summaries read.
     pub machine: M,
     /// The raw fixpoint result, [`FixpointResult::queue_wait`] filled
     /// in by the pool.
@@ -181,181 +166,71 @@ impl<M: AbstractMachine> std::fmt::Debug for PoolRun<M> {
     }
 }
 
-/// Run-scheduling totals handed to a backend's assemble closure when a
-/// tenant finishes.
-pub(crate) struct RunTotals {
-    pub(crate) iterations: u64,
-    pub(crate) skipped: u64,
-    pub(crate) wakeups: u64,
-    pub(crate) delta_facts: u64,
-    pub(crate) delta_applies: u64,
-    pub(crate) sched: SchedStats,
-    pub(crate) elapsed: Duration,
-    pub(crate) queue_wait: Duration,
-    pub(crate) trace: RunTrace,
+/// The store-backend parameter of [`AnalysisPool::submit`] and the
+/// `submit_*` entry points.
+///
+/// `B` no longer selects a layout: every tenant runs the sequential
+/// worklist loop ([`crate::engine::run_fixpoint_with`]'s) on a private
+/// store, whatever `B` is. The parameter stays so existing callers
+/// (`submit_kcfa::<Replicated>`) keep compiling; only
+/// [`crate::parallel::Replicated`] implements it.
+pub trait PoolBackend: StoreBackend {}
+
+/// A pool tenant: the machine it drives and its resumable
+/// [`SequentialRun`], run in bounded quanta on whichever pool thread
+/// picks it up, depositing into its [`JobHandle`]'s slot.
+struct Tenant<M: AbstractMachine> {
+    machine: M,
+    run: SequentialRun<M>,
+    cancel: CancelToken,
+    handle: Arc<HandleCore<PoolRun<M>>>,
 }
 
-/// A store backend that can host pool tenants. Only
-/// [`crate::parallel::Replicated`] implements it: a tenant runs one
-/// worker, so its "replica" is simply a private store, handed over as
-/// the result; a one-worker shared store would only add locking.
-pub trait PoolBackend: StoreBackend {
-    /// Builds the type-erased tenant that drives `machine` to its
-    /// fixpoint under this backend, depositing a [`PoolRun`] when done.
-    /// Internal plumbing for [`AnalysisPool::submit`].
-    #[doc(hidden)]
-    fn tenant<M>(
-        machine: M,
-        limits: EngineLimits,
-        mode: EvalMode,
-        deposit: Box<dyn FnOnce(PoolRun<M>) + Send>,
-    ) -> Box<dyn TenantRun>
-    where
-        M: ParallelMachine + 'static,
-        M::Config: Send + Sync + 'static,
-        M::Addr: Send + Sync + Ord + 'static,
-        M::Val: Send + Sync + 'static;
-}
-
-/// The single-slot tenant a pool backend instantiates: a private
-/// one-worker [`Fabric`], the backend worker homed on it, and the
-/// parked loop state the quanta resume. `G` assembles the backend's
-/// final state into the result `T` once the run stops.
-pub(crate) struct SoloTenant<W, T, G>
+impl<M> TenantRun for Tenant<M>
 where
-    W: BackendWorker,
-{
-    fabric: Fabric<W::Config, W::Msg>,
-    backend: W,
-    /// Parked between quanta; taken while one is running.
-    state: Option<fabric::WorkerState>,
-    limits: EngineLimits,
-    armed: Option<ArmedFaultPlan>,
-    mode: EvalMode,
-    /// Set at the first quantum — the run's time-budget clock starts
-    /// here, not at submission.
-    started: Option<Instant>,
-    seeded: bool,
-    assemble: Option<G>,
-    deposit: Option<Box<dyn FnOnce(T) + Send>>,
-}
-
-impl<W, T, G> SoloTenant<W, T, G>
-where
-    W: BackendWorker,
-    G: FnOnce(W, Status, Vec<W::Config>, RunTotals) -> T,
-{
-    /// Wraps an already-seeded-with-root fabric and its backend worker
-    /// into a schedulable tenant.
-    pub(crate) fn new(
-        fabric: Fabric<W::Config, W::Msg>,
-        backend: W,
-        limits: EngineLimits,
-        mode: EvalMode,
-        assemble: G,
-        deposit: Box<dyn FnOnce(T) + Send>,
-    ) -> Self {
-        let armed = limits.fault_plan.as_deref().map(ArmedFaultPlan::new);
-        let state = fabric::WorkerState::with_trace(TraceBuffer::new(limits.trace));
-        SoloTenant {
-            fabric,
-            backend,
-            state: Some(state),
-            limits,
-            armed,
-            mode,
-            started: None,
-            seeded: false,
-            assemble: Some(assemble),
-            deposit: Some(deposit),
-        }
-    }
-}
-
-impl<W, T, G> TenantRun for SoloTenant<W, T, G>
-where
-    W: BackendWorker,
-    G: FnOnce(W, Status, Vec<W::Config>, RunTotals) -> T + Send,
+    M: AbstractMachine + Send,
+    M::Config: Send,
+    M::Addr: Send,
+    M::Val: Send,
 {
     fn quantum(&mut self, max_pops: u64) -> Quantum {
-        let first_quantum = self.started.is_none();
-        let start = *self.started.get_or_insert_with(Instant::now);
-        let mut state = self.state.take().expect("tenant state parked");
-        if first_quantum {
-            // The tenant's run-relative clock starts at activation, so
-            // queue wait never skews its timeline.
-            state.trace.set_origin(start);
+        if !self.run.is_active() {
+            // The tenant's clocks (time budget, trace origin) start at
+            // activation, so queue wait never counts against them.
+            self.run.activate(&mut self.machine);
         }
-        let mut ctx = WorkerCtx::resume(0, &self.fabric, self.mode, state);
-        ctx.trace.tenant_resume(ctx.pops());
-        if !self.seeded {
-            self.seeded = true;
-            fabric::seed_worker(&mut self.backend, &mut ctx);
+        let pops = self.run.pops();
+        self.run.trace.tenant_resume(pops);
+        let stopped = self.run.run(&mut self.machine, max_pops);
+        let pops = self.run.pops();
+        self.run.trace.tenant_suspend(pops);
+        if stopped {
+            Quantum::Finished
+        } else {
+            Quantum::Progress
         }
-        let budget = ctx.pops() + max_pops;
-        let outcome = loop {
-            match fabric::worker_turn(
-                &mut self.backend,
-                &mut ctx,
-                &self.limits,
-                self.armed.as_ref(),
-                start,
-            ) {
-                Turn::Stopped => break Quantum::Finished,
-                Turn::Idle => break Quantum::Idle,
-                Turn::Worked if ctx.pops() >= budget => break Quantum::Progress,
-                Turn::Worked => {}
-            }
-        };
-        ctx.trace.tenant_suspend(ctx.pops());
-        self.state = Some(ctx.suspend());
-        outcome
     }
 
     fn cancel_requested(&self) -> bool {
-        self.limits
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
+        self.cancel.is_cancelled()
     }
 
     fn finish(self: Box<Self>, queue_wait: Duration) {
-        let mut this = *self;
-        let (status, configs) = this.fabric.finish();
-        let fabric::WorkerTotals {
-            iterations,
-            skipped,
-            wakeups,
-            delta_facts,
-            delta_applies,
-            mut sched,
-            trace,
-        } = this
-            .state
-            .take()
-            .expect("tenant state parked")
-            .into_totals();
-        this.backend.finish(&mut sched);
-        let totals = RunTotals {
-            iterations,
-            skipped,
-            wakeups,
-            delta_facts,
-            delta_applies,
-            sched,
-            elapsed: this.started.map_or(Duration::ZERO, |s| s.elapsed()),
-            queue_wait,
-            trace: RunTrace::from_buffers(vec![trace]),
-        };
-        let assemble = this.assemble.take().expect("assemble consumed once");
-        let deposit = this.deposit.take().expect("deposit consumed once");
-        deposit(assemble(this.backend, status, configs, totals));
+        let Tenant {
+            machine,
+            run,
+            handle,
+            ..
+        } = *self;
+        let fixpoint = run.finish(queue_wait);
+        *handle.slot.lock_recovered() = Some(PoolRun { machine, fixpoint });
+        handle.done.notify_all();
     }
 
-    fn finish_cancelled(self: Box<Self>, queue_wait: Duration) {
+    fn finish_cancelled(mut self: Box<Self>, queue_wait: Duration) {
         // First writer wins, so a tenant that already stopped for a
         // different reason keeps its own status.
-        self.fabric.stop(Status::Cancelled);
+        self.run.stop(Status::Cancelled);
         self.finish(queue_wait);
     }
 }
@@ -565,11 +440,13 @@ impl AnalysisPool {
         AnalysisPool { shared, workers }
     }
 
-    /// Submits `machine` for analysis under store backend `B`,
-    /// returning immediately with a [`JobHandle`]. Blocks only when the
-    /// pool is at its admission bound ([`PoolConfig::queue_depth`]).
+    /// Submits `machine` for analysis, returning immediately with a
+    /// [`JobHandle`]. Blocks only when the pool is at its admission
+    /// bound ([`PoolConfig::queue_depth`]). The tenant runs the
+    /// sequential loop on a private store whatever `B` names (see
+    /// [`PoolBackend`]).
     ///
-    /// The tenant observes `limits` exactly as a dedicated run would,
+    /// The tenant observes `limits` exactly as a direct run would,
     /// except that the time-budget clock starts at its first scheduling
     /// quantum — queue wait is reported separately on
     /// [`FixpointResult::queue_wait`]. If `limits.cancel` is unset, a
@@ -599,14 +476,12 @@ impl AnalysisPool {
             slot: Mutex::new(None),
             done: Condvar::new(),
         });
-        let deposit: Box<dyn FnOnce(PoolRun<M>) + Send> = {
-            let core = Arc::clone(&core);
-            Box::new(move |run| {
-                *core.slot.lock_recovered() = Some(run);
-                core.done.notify_all();
-            })
-        };
-        let tenant = B::tenant(machine, limits, mode, deposit);
+        let tenant: Box<dyn TenantRun> = Box::new(Tenant {
+            machine,
+            run: SequentialRun::new(limits, mode),
+            cancel: cancel.clone(),
+            handle: Arc::clone(&core),
+        });
 
         let mut sched = self.shared.sched.lock_recovered();
         while sched.live >= self.shared.queue_depth && !sched.shutdown {
@@ -739,13 +614,6 @@ fn worker_loop(shared: &PoolShared) {
                 tenant.run.finish(queue_wait);
             }
             Quantum::Progress => requeue(shared, tenant),
-            Quantum::Idle => {
-                // Pending work but nothing runnable (a leaked pending
-                // count awaiting its watchdog): keep the tenant
-                // scheduled but don't spin hot on it.
-                std::thread::sleep(Duration::from_micros(50));
-                requeue(shared, tenant);
-            }
         }
     }
 }

@@ -20,6 +20,13 @@ cargo build --release
 # first-party crate, so this also runs the per-crate unit, integration
 # and doc tests (cfa-core, cfa-cli, cfa-bench, cfa-datalog, ...).
 cargo test -q
+# Engine differential + semi-naive property suites per store backend,
+# mirroring CI's `differential-backends` matrix legs (the plain
+# `cargo test` run above covers the default CFA_STORE_BACKEND=both).
+for backend in replicated sharded; do
+    echo "differential suites: CFA_STORE_BACKEND=${backend}"
+    CFA_STORE_BACKEND="${backend}" cargo test -q --test engine_differential --test semi_naive_prop
+done
 # Fault-injection suite per store backend, mirroring CI's `faults`
 # matrix legs (the plain `cargo test` run above covers the default
 # CFA_STORE_BACKEND=both).
@@ -38,8 +45,8 @@ for backend in replicated sharded; do
     done
 done
 # Pool-throughput smoke, mirroring CI's `throughput` job: one repeat of
-# the corpus through the multi-tenant pool (every tenant runs on a
-# private one-worker store, so there is no backend to pin; the pool
+# the corpus through the multi-tenant pool (every tenant runs the
+# sequential loop on a private store, so there is no backend to pin; the pool
 # suite itself ran under `cargo test` above). The bench asserts all
 # tenants completed, pooled fixpoints match solo runs, and analyses/sec
 # is nonzero. Run in a scratch directory so the committed
@@ -83,7 +90,7 @@ done
 # corpus_diff pushes the bounded corpus (suite + golden concurrent
 # programs + 16 seeded generated programs, seed 0) through its five
 # engine configurations and diffs the canonical normal forms. It takes
-# no backend selection (its pooled runs are one-worker tenants). Widen
+# no backend selection (its pooled runs are sequential tenants). Widen
 # the generated band for a nightly-scale run with e.g.
 # CFA_CORPUS_SIZE=500 ./scripts/check.sh
 echo "corpus differential sweep"

@@ -548,6 +548,12 @@ fn seed_panic_is_contained_on_every_backend() {
         );
         expect_seed_abort(&r.status, "sharded");
     }
+    let r = run_fixpoint_with(
+        &mut PoisonSeed,
+        EngineLimits::default(),
+        EvalMode::SemiNaive,
+    );
+    expect_seed_abort(&r.status, "sequential");
 }
 
 /// Satellite: an iteration-limited run on the *sharded* backend leaves
@@ -789,41 +795,61 @@ fn only_the_planned_run_faults_on_every_backend() {
     }
 }
 
-/// The 2-tenant pool flavor of `leaked_pending_trips_watchdog`: the
-/// stall watchdog is scoped per tenant, so a stalled run aborts with
-/// the watchdog diagnostic while its pool-mate completes untouched.
+/// A tenant stopped by its own limit stops alone. A pool tenant runs
+/// the sequential loop on one worker, so it has no pending counter to
+/// leak and no stall watchdog (that is tested at N workers by
+/// `leaked_pending_trips_watchdog_on_every_backend`); what it can hit
+/// is its own budget. A worst-case n = 12 k = 1 tenant with a 20 ms
+/// `time_budget` ends `TimedOut` on a partial that is a subset of the
+/// solo fixpoint, while its pool-mate completes untouched.
 #[test]
 fn stalled_tenant_spares_its_pool_mate_on_every_backend() {
+    use cfa::analysis::engine::run_fixpoint;
     use cfa::analysis::pool::{AnalysisPool, PoolConfig};
+    use std::sync::Arc;
     let pool = AnalysisPool::new(PoolConfig {
         threads: 2,
         ..PoolConfig::default()
     });
-    let p = std::sync::Arc::new(regex());
-    let mut limits = limits_with_plan(FaultPlan::new().leak_pending_at_pop(5));
-    limits.stall_timeout = Some(Duration::from_millis(200));
-    let stalled =
-        cfa::analysis::kcfa::submit_kcfa::<Replicated>(&pool, std::sync::Arc::clone(&p), 1, limits);
-    let healthy =
-        cfa::analysis::kcfa::submit_kcfa::<Replicated>(&pool, p, 1, EngineLimits::default());
+    let hog = Arc::new(
+        cfa::compile(&cfa::workloads::worst_case_source(12)).expect("worst-case program compiles"),
+    );
+    let mate = Arc::new(regex());
+    let limits = EngineLimits::timeout(Duration::from_millis(20));
+    let stopped =
+        cfa::analysis::kcfa::submit_kcfa::<Replicated>(&pool, Arc::clone(&hog), 1, limits);
+    let healthy = cfa::analysis::kcfa::submit_kcfa::<Replicated>(
+        &pool,
+        Arc::clone(&mate),
+        1,
+        EngineLimits::default(),
+    );
 
     let healthy_run = healthy.wait();
     assert!(
         healthy_run.fixpoint.status.is_complete(),
-        "pool-mate of a stalled tenant must complete, got {:?}",
+        "pool-mate of a timed-out tenant must complete, got {:?}",
         healthy_run.fixpoint.status
     );
-    let stalled_run = stalled.wait();
-    let Status::Aborted { config, message } = &stalled_run.fixpoint.status else {
-        panic!(
-            "expected the per-tenant watchdog to abort the stalled run, got {:?}",
-            stalled_run.fixpoint.status
-        );
-    };
-    assert_eq!(config.as_str(), Status::STALL_WATCHDOG);
+    let solo_mate = run_fixpoint(&mut KCfaMachine::new(&mate, 1), EngineLimits::default());
+    assert_eq!(fixpoint_of(&healthy_run.fixpoint), fixpoint_of(&solo_mate));
+
+    let stopped_run = stopped.wait();
+    assert_eq!(
+        stopped_run.fixpoint.status,
+        Status::TimedOut,
+        "the 20 ms tenant should stop on its own budget"
+    );
+    let solo = run_fixpoint(&mut KCfaMachine::new(&hog, 1), EngineLimits::default());
+    assert!(solo.status.is_complete());
     assert!(
-        message.contains("pending"),
-        "watchdog dump {message:?} should report the stuck pending count",
+        stopped_run.fixpoint.iterations < solo.iterations,
+        "a timed-out tenant stops short of the fixpoint"
+    );
+    assert_fixpoint_subset(
+        "timed-out tenant",
+        &fixpoint_of(&stopped_run.fixpoint),
+        &fixpoint_of(&solo),
     );
     pool.shutdown();
 }

@@ -9,24 +9,31 @@
 //! 2. **fair scheduling** — a pathological worst-case-family tenant
 //!    cannot starve small pool-mates: round-robin quanta keep every
 //!    tenant flowing;
-//! 3. **isolation** — cancellation, time budgets, injected panics, and
-//!    the stall watchdog are all per-tenant: one misbehaving run never
-//!    takes a sibling down with it;
+//! 3. **isolation** — cancellation, time budgets and injected panics
+//!    are all per-tenant: one misbehaving run never takes a sibling
+//!    down with it;
 //! 4. **honest accounting** — time spent waiting in the admission
 //!    queue is reported as `queue_wait` and never billed against the
-//!    tenant's `time_budget`.
+//!    tenant's `time_budget`;
+//! 5. **resumability** — a tenant is the sequential engine's own loop
+//!    run in quanta: cut after every pop, it still pops the same
+//!    configurations in the same order as a direct run.
 //!
-//! Every tenant runs on a private one-worker store (the
-//! [`Replicated`] pool backend at one worker: nothing to replicate),
-//! so these tests take no store-backend selection.
+//! Every tenant runs the sequential loop on a private store, whatever
+//! the `B` parameter of `submit` names, so these tests take no
+//! store-backend selection.
 
-use cfa::analysis::engine::{EngineLimits, Status};
-use cfa::analysis::kcfa::{analyze_kcfa, submit_kcfa, KcfaJob};
-use cfa::analysis::parallel::Replicated;
+use cfa::analysis::engine::{run_fixpoint_with, EngineLimits, EvalMode, Status};
+use cfa::analysis::flatcfa::{FlatCfaMachine, FlatPolicy};
+use cfa::analysis::kcfa::{analyze_kcfa, submit_kcfa, KCfaMachine, KcfaJob};
+use cfa::analysis::parallel::{ParallelMachine, Replicated};
 use cfa::analysis::pool::{AnalysisPool, PoolConfig};
 use cfa::workloads::worst_case_source;
 use cfa::CpsProgram;
-use cfa_testsupport::{fixpoint_of, limits_with_plan, quiet_injected_panics};
+use cfa_testsupport::{
+    concurrent_scheme_corpus, fixpoint_of, limits_with_plan, quiet_injected_panics,
+};
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -268,4 +275,85 @@ fn drop_drains_admitted_tenants() {
     for job in jobs {
         assert_eq!(job.wait().fixpoint.status, Status::Completed);
     }
+}
+
+/// Submits every program's machine to `pool` under `mode`, then checks
+/// each pooled run against a direct `run_fixpoint_with` of a fresh
+/// machine: the same fixpoint, reached through the same pops.
+fn assert_pool_replays_direct_runs<M, F>(
+    pool: &AnalysisPool,
+    programs: &[(String, Arc<CpsProgram>)],
+    analysis: &str,
+    mode: EvalMode,
+    machine: F,
+) where
+    M: ParallelMachine + 'static,
+    M::Config: Send + Sync + 'static,
+    M::Addr: Send + Sync + Ord + Debug + 'static,
+    M::Val: Send + Sync + Debug + 'static,
+    F: Fn(Arc<CpsProgram>) -> M,
+{
+    let jobs: Vec<_> = programs
+        .iter()
+        .map(|(name, p)| {
+            let job =
+                pool.submit::<Replicated, _>(machine(Arc::clone(p)), EngineLimits::default(), mode);
+            (name, p, job)
+        })
+        .collect();
+    for (name, p, job) in jobs {
+        let label = format!("{name} {analysis} {mode:?}");
+        let pooled = job.wait().fixpoint;
+        let direct = run_fixpoint_with(&mut machine(Arc::clone(p)), EngineLimits::default(), mode);
+        assert_eq!(pooled.status, Status::Completed, "{label}");
+        assert_eq!(pooled.configs, direct.configs, "{label}: first-visit order");
+        assert_eq!(fixpoint_of(&pooled), fixpoint_of(&direct), "{label}");
+        assert_eq!(
+            (
+                pooled.iterations,
+                pooled.skipped,
+                pooled.wakeups,
+                pooled.delta_facts,
+                pooled.delta_applies,
+            ),
+            (
+                direct.iterations,
+                direct.skipped,
+                direct.wakeups,
+                direct.delta_facts,
+                direct.delta_applies,
+            ),
+            "{label}: (iterations, skipped, wakeups, delta_facts, delta_applies)",
+        );
+    }
+}
+
+/// A tenant suspended after every single pop resumes exactly where it
+/// stopped: on the suite and the concurrent corpus, at k = 1 and
+/// m = 1, in both evaluation modes, each pooled run matches the direct
+/// sequential run on the fixpoint and on every scheduling counter.
+#[test]
+fn one_pop_quanta_replay_the_direct_run() {
+    let pool = AnalysisPool::new(PoolConfig {
+        threads: 2,
+        queue_depth: 256,
+        quantum_pops: 1,
+    });
+    let mut programs: Vec<(String, Arc<CpsProgram>)> = suite_programs()
+        .into_iter()
+        .map(|(name, p)| (name.to_owned(), p))
+        .collect();
+    programs.extend(concurrent_scheme_corpus().into_iter().map(|(name, src)| {
+        let p = cfa::compile(&src).expect("corpus program compiles");
+        (name, Arc::new(p))
+    }));
+    for mode in [EvalMode::SemiNaive, EvalMode::FullReeval] {
+        assert_pool_replays_direct_runs(&pool, &programs, "k=1", mode, |p| {
+            KCfaMachine::new_owned(p, 1)
+        });
+        assert_pool_replays_direct_runs(&pool, &programs, "m=1", mode, |p| {
+            FlatCfaMachine::new_owned(p, 1, FlatPolicy::TopMFrames)
+        });
+    }
+    pool.shutdown();
 }
